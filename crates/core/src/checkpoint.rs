@@ -42,6 +42,7 @@ use squatphi_durability::{
 };
 use squatphi_ml::{Metrics, RandomForest, RocCurve};
 use squatphi_squat::SquatType;
+use squatphi_telemetry::escape;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
@@ -244,7 +245,7 @@ impl CheckpointStore {
                 let o = m.ip.octets();
                 format!(
                     "{{\"domain\": \"{}\", \"ip\": [{}, {}, {}, {}], \"brand\": {}, \"type\": \"{}\"}}",
-                    esc(m.domain.as_str()),
+                    escape(m.domain.as_str()),
                     o[0],
                     o[1],
                     o[2],
@@ -319,11 +320,11 @@ impl CheckpointStore {
             None => "null".to_string(),
             Some(p) => format!(
                 "{{\"final_host\": \"{}\", \"html\": \"{}\", \"redirects\": [{}]}}",
-                esc(&p.final_host),
-                esc(&p.html),
+                escape(&p.final_host),
+                escape(&p.html),
                 p.redirects
                     .iter()
-                    .map(|r| format!("\"{}\"", esc(r)))
+                    .map(|r| format!("\"{}\"", escape(r)))
                     .collect::<Vec<_>>()
                     .join(", ")
             ),
@@ -333,7 +334,7 @@ impl CheckpointStore {
             .map(|r| {
                 format!(
                     "{{\"domain\": \"{}\", \"brand\": {}, \"type\": \"{}\", \"web\": {}, \"mobile\": {}, \"web_redirect\": \"{}\", \"mobile_redirect\": \"{}\"}}",
-                    esc(&r.domain),
+                    escape(&r.domain),
                     r.brand,
                     r.squat_type.name(),
                     capture(&r.web),
@@ -400,7 +401,7 @@ impl CheckpointStore {
             eval.train_shape.0,
             eval.train_shape.1,
             models,
-            esc(&model.encode()),
+            escape(&model.encode()),
         );
         self.save(PipelineStage::Train, &body)
     }
@@ -411,24 +412,6 @@ impl CheckpointStore {
     ) -> Result<Loaded<((usize, usize), EvalReport, RandomForest)>, CheckpointError> {
         self.load_stage(PipelineStage::Train, decode_train)
     }
-}
-
-/// JSON string escaper shared by the checkpoint writers (the stream
-/// module's watermark store reuses it).
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn join_usize(a: &[usize]) -> String {

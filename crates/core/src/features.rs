@@ -203,10 +203,10 @@ impl FeatureExtractor {
             return htmls.iter().map(|h| self.analyzer.analyze(h)).collect();
         }
         let cursor = AtomicUsize::new(0);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
-                    s.spawn(|_| {
+                    s.spawn(|| {
                         let mut mine = Vec::new();
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -235,7 +235,6 @@ impl FeatureExtractor {
                 .map(|s| s.expect("the cursor hands out every index exactly once"))
                 .collect()
         })
-        .expect("analysis worker panicked inside the crossbeam scope")
     }
 
     /// Extracts features for many pages: parallel analysis (stage 1),

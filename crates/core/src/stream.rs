@@ -39,7 +39,7 @@
 //! [`SquatPhi:: try_watch`]: crate::pipeline::SquatPhi
 
 use crate::artifact::content_key;
-use crate::checkpoint::{esc, json, parse_squat_type, store_err, vfs_for, CheckpointError, Loaded};
+use crate::checkpoint::{json, parse_squat_type, store_err, vfs_for, CheckpointError, Loaded};
 use crate::pipeline::SquatPhi;
 use squatphi_crawler::{
     crawl_all, CircuitBreakerPolicy, Clock, CrawlConfig, InProcessTransport, RecrawlScheduler,
@@ -52,6 +52,7 @@ use squatphi_durability::{
 };
 use squatphi_feeds::{Blacklists, PhishKind};
 use squatphi_squat::{BrandRegistry, SquatDetector, SquatMatch, SquatType};
+use squatphi_telemetry::escape;
 use squatphi_web::{WebWorld, WorldConfig};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::net::Ipv4Addr;
@@ -1162,16 +1163,22 @@ impl Runner<'_> {
         }
         let mut out: Vec<Option<SquatMatch>> = vec![None; events.len()];
         let chunk = events.len().div_ceil(threads);
-        crossbeam::thread::scope(|s| {
-            for (slots, evs) in out.chunks_mut(chunk).zip(events.chunks(chunk)) {
-                s.spawn(move |_| {
-                    for (slot, ev) in slots.iter_mut().zip(evs) {
-                        *slot = classify(ev);
-                    }
-                });
+        std::thread::scope(|s| {
+            let handles: Vec<_> = out
+                .chunks_mut(chunk)
+                .zip(events.chunks(chunk))
+                .map(|(slots, evs)| {
+                    s.spawn(move || {
+                        for (slot, ev) in slots.iter_mut().zip(evs) {
+                            *slot = classify(ev);
+                        }
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().expect("detect worker panicked");
             }
-        })
-        .expect("detect worker panicked");
+        });
         out
     }
 
@@ -1415,7 +1422,7 @@ impl WatchStore {
                 format!(
                     "{{\"seq\": {}, \"domain\": \"{}\", \"brand\": {}, \"type\": \"{}\", \"ip\": [{}, {}, {}, {}], \"detected_tick\": {}}}",
                     c.seq,
-                    esc(&c.domain),
+                    escape(&c.domain),
                     c.brand,
                     c.squat_type.name(),
                     o[0],
@@ -1434,7 +1441,7 @@ impl WatchStore {
                 let o = t.ip.octets();
                 format!(
                     "{{\"domain\": \"{}\", \"brand\": {}, \"type\": \"{}\", \"ip\": [{}, {}, {}, {}], \"first_live_tick\": {}, \"crawls\": {}, \"blacklist_day\": {}, \"blacklisted\": {}}}",
-                    esc(domain),
+                    escape(domain),
                     t.brand,
                     t.squat_type.name(),
                     o[0],
@@ -1452,7 +1459,7 @@ impl WatchStore {
         let schedule = state
             .scheduler
             .entries()
-            .map(|(due, domain)| format!("{{\"due\": {due}, \"domain\": \"{}\"}}", esc(domain)))
+            .map(|(due, domain)| format!("{{\"due\": {due}, \"domain\": \"{}\"}}", escape(domain)))
             .collect::<Vec<_>>()
             .join(",\n");
         let metrics = state

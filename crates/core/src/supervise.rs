@@ -671,23 +671,25 @@ impl Supervisor {
             let cursor = AtomicUsize::new(0);
             let slots: Vec<Mutex<Option<Arc<PageArtifact>>>> =
                 (0..jobs.len()).map(|_| Mutex::new(None)).collect();
-            crossbeam::thread::scope(|s| {
-                for _ in 0..threads {
-                    s.spawn(|_| loop {
-                        if self.stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs.len() {
-                            break;
-                        }
-                        *slots[i].lock() = self.guarded_analyze(stage, extractor, &jobs[i]);
-                    });
+            std::thread::scope(|s| {
+                let worker = || loop {
+                    if self.stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= jobs.len() {
+                        break;
+                    }
+                    *slots[i].lock() = self.guarded_analyze(stage, extractor, &jobs[i]);
+                };
+                let handles: Vec<_> = (0..threads).map(|_| s.spawn(worker)).collect();
+                for h in handles {
+                    // Workers never unwind: every panic surface inside
+                    // them is behind guarded_analyze's catch_unwind.
+                    h.join()
+                        .expect("supervised analysis worker escaped its catch_unwind");
                 }
-            })
-            // Workers never unwind: every panic surface inside them is
-            // behind guarded_analyze's catch_unwind.
-            .expect("supervised analysis worker escaped its catch_unwind");
+            });
             for (slot, cell) in artifacts.iter_mut().zip(slots) {
                 *slot = cell.into_inner();
             }

@@ -4,7 +4,6 @@
 use crate::metrics::TransportMetrics;
 use crate::stats::CrawlStats;
 use crate::transport::Transport;
-use crossbeam::channel;
 use squatphi_domain::url::host_of;
 use squatphi_html::parse;
 use squatphi_render::{render_page, Bitmap, RenderOptions};
@@ -12,6 +11,7 @@ use squatphi_squat::{BrandId, BrandRegistry, SquatType};
 use squatphi_web::world::MARKETPLACES;
 use squatphi_web::{Device, ServeResult};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -277,35 +277,28 @@ pub fn crawl_all(
         .unwrap_or_else(|| Arc::new(TransportMetrics::new()));
 
     let workers = config.workers.max(1);
-    let (job_tx, job_rx) = channel::unbounded::<usize>();
-    for i in 0..jobs.len() {
-        // The receiver outlives this loop, so the channel cannot be
-        // closed yet; a failed send would be a crossbeam-stub bug.
-        job_tx
-            .send(i)
-            .expect("job queue closed before the crawl started");
-    }
-    drop(job_tx);
+    let cursor = AtomicUsize::new(0);
 
-    let records: Vec<CrawlRecord> = crossbeam::thread::scope(|s| {
+    let records: Vec<CrawlRecord> = std::thread::scope(|s| {
         let mut handles = Vec::new();
         for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let brand_domains = &brand_domains;
-            let markets = &markets;
-            let metrics = &metrics;
-            handles.push(s.spawn(move |_| {
+            handles.push(s.spawn(|| {
                 let mut out = Vec::new();
-                while let Ok(i) = job_rx.recv() {
-                    let (domain, brand, squat_type) = &jobs[i];
+                loop {
+                    // Relaxed: the cursor only hands out indices; joining
+                    // the worker publishes its records.
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some((domain, brand, squat_type)) = jobs.get(i) else {
+                        break;
+                    };
                     let (web, web_redirect) = fetch_one(
                         transport,
                         domain,
                         Device::Web,
                         config,
                         brand_domains.get(brand).map(String::as_str),
-                        markets,
-                        metrics,
+                        &markets,
+                        &metrics,
                     );
                     let (mobile, mobile_redirect) = fetch_one(
                         transport,
@@ -313,8 +306,8 @@ pub fn crawl_all(
                         Device::Mobile,
                         config,
                         brand_domains.get(brand).map(String::as_str),
-                        markets,
-                        metrics,
+                        &markets,
+                        &metrics,
                     );
                     out.push((
                         i,
@@ -344,8 +337,7 @@ pub fn crawl_all(
             .collect();
         indexed.sort_by_key(|(i, _)| *i);
         indexed.into_iter().map(|(_, r)| r).collect()
-    })
-    .expect("crawl worker panicked inside the crossbeam scope");
+    });
 
     let mut stats = CrawlStats::from_records(&records);
     stats.transport = metrics.snapshot();
@@ -616,13 +608,17 @@ mod tests {
     #[test]
     fn single_threaded_matches_parallel() {
         let (jobs, registry, transport) = setup(5, 10, 3, 4);
-        let (a, _) = crawl_all(&jobs, &registry, &transport, &workers(1));
-        let (b, _) = crawl_all(&jobs, &registry, &transport, &workers(8));
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.domain, y.domain);
-            assert_eq!(x.web.is_some(), y.web.is_some());
-            assert_eq!(x.web_redirect, y.web_redirect);
+        // All 50 jobs, then fewer jobs than workers, then none at all.
+        for jobs in [&jobs[..], &jobs[..3], &jobs[..0]] {
+            let (a, _) = crawl_all(jobs, &registry, &transport, &workers(1));
+            assert_eq!(a.len(), jobs.len());
+            for (record, job) in a.iter().zip(jobs) {
+                assert_eq!(record.domain, job.0, "records follow input order");
+            }
+            for n in [4, 8] {
+                let (b, _) = crawl_all(jobs, &registry, &transport, &workers(n));
+                assert_eq!(a, b, "workers={n} jobs={}", jobs.len());
+            }
         }
     }
 

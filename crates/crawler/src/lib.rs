@@ -13,9 +13,9 @@
 //!   deadlines on a [`clock::VirtualClock`], a per-host circuit breaker,
 //!   and seeded chaos fault injection ([`middleware::TransportStack`]
 //!   builds the canonical stack),
-//! * a real-TCP transport lives in the `squatphi-http` crate's client and
-//!   can be adapted to [`Transport`] by callers that want socket-level
-//!   fidelity (see the `active_probe` example).
+//! * there is no socket transport: the `squatphi-http` crate serves and
+//!   fetches the same world over localhost TCP (see the `active_probe`
+//!   example) but is not wired in as a [`Transport`].
 //!
 //! Fetches fail with a structured [`FetchError`] (timeout / refused /
 //! truncated / injected); [`TransportMetrics`] counts every attempt,

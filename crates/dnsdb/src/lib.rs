@@ -11,8 +11,8 @@
 //! * [`store`] — the in-memory record store (domain → A record),
 //! * [`mod@scan`] — multi-threaded scan engine running the
 //!   [`squatphi_squat::SquatDetector`] over every record (Figure 2),
-//! * [`probe`] — the active-probing path: an async authoritative UDP
-//!   server serving the snapshot zone plus a concurrent probing client,
+//! * [`probe`] — the active-probing path: an authoritative UDP server
+//!   thread serving the snapshot zone plus a bounded pool of probing threads,
 //!   mirroring how ActiveDNS actually produces its records,
 //! * [`events`] — the live-feed counterpart of [`synth`]: a seeded,
 //!   random-access stream of registration / churn / feed events on a

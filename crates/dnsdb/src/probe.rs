@@ -7,52 +7,49 @@
 //! active probing, and re-validation of scan hits is part of a production
 //! deployment (§7 "monitoring newly registered domain names").
 //!
-//! Networking follows the tokio idioms from the session guides: one task
-//! per in-flight query bounded by a semaphore, graceful shutdown via a
-//! watch channel, and no blocking calls on the runtime.
+//! Everything here is blocking `std::net`: the server is one thread on a
+//! `UdpSocket`, stopped by a flag plus a wake-up datagram and joined by
+//! [`AuthServer::shutdown`]; the prober is a fixed set of scoped worker
+//! threads sharing a cursor over the domain list, each probe on its own
+//! socket with a read timeout.
 
 use squatphi_dnswire::{Message, RData, Rcode, RecordType, ResourceRecord};
 use std::collections::HashMap;
-use std::net::{Ipv4Addr, SocketAddr};
+use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use tokio::net::UdpSocket;
-use tokio::sync::{watch, Semaphore};
-use tokio::time::{timeout, Duration};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Handle to a running authoritative server.
 pub struct AuthServer {
     addr: SocketAddr,
-    shutdown: watch::Sender<bool>,
-    task: tokio::task::JoinHandle<()>,
+    stop: Arc<AtomicBool>,
+    thread: JoinHandle<()>,
 }
 
 impl AuthServer {
     /// Spawns an authoritative server on an ephemeral localhost port,
     /// serving A records from `zone`.
-    pub async fn spawn(zone: HashMap<String, Ipv4Addr>) -> std::io::Result<AuthServer> {
-        let socket = UdpSocket::bind(("127.0.0.1", 0)).await?;
+    pub fn spawn(zone: HashMap<String, Ipv4Addr>) -> std::io::Result<AuthServer> {
+        let socket = UdpSocket::bind(("127.0.0.1", 0))?;
         let addr = socket.local_addr()?;
-        let (tx, mut rx) = watch::channel(false);
-        let zone = Arc::new(zone);
-        let task = tokio::spawn(async move {
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopped = stop.clone();
+        let thread = std::thread::spawn(move || {
             let mut buf = vec![0u8; 1500];
             loop {
-                tokio::select! {
-                    _ = rx.changed() => break,
-                    r = socket.recv_from(&mut buf) => {
-                        let Ok((n, peer)) = r else { continue };
-                        if let Some(reply) = answer(&zone, &buf[..n]) {
-                            let _ = socket.send_to(&reply, peer).await;
-                        }
-                    }
+                let received = socket.recv_from(&mut buf);
+                if stopped.load(Ordering::SeqCst) {
+                    break;
+                }
+                let Ok((n, peer)) = received else { continue };
+                if let Some(reply) = answer(&zone, &buf[..n]) {
+                    let _ = socket.send_to(&reply, peer);
                 }
             }
         });
-        Ok(AuthServer {
-            addr,
-            shutdown: tx,
-            task,
-        })
+        Ok(AuthServer { addr, stop, thread })
     }
 
     /// The server's socket address.
@@ -60,10 +57,15 @@ impl AuthServer {
         self.addr
     }
 
-    /// Stops the server and waits for the task to finish.
-    pub async fn shutdown(self) {
-        let _ = self.shutdown.send(true);
-        let _ = self.task.await;
+    /// Stops the server, closes its socket and joins its thread.
+    pub fn shutdown(self) {
+        self.stop.store(true, Ordering::SeqCst);
+        // `recv_from` has no timeout: an empty datagram wakes the loop so
+        // it sees the flag.
+        if let Ok(waker) = UdpSocket::bind(("127.0.0.1", 0)) {
+            let _ = waker.send_to(&[], self.addr);
+        }
+        let _ = self.thread.join();
     }
 }
 
@@ -121,68 +123,88 @@ impl Default for ProberConfig {
 }
 
 /// Probes `domains` against the authoritative server at `server`.
-/// Returns one result per input domain, order-preserving.
-pub async fn probe_all(
+/// Returns one result per input domain, order-preserving. At most
+/// `config.concurrency` queries are in flight: that many workers (fewer
+/// when there are fewer domains) each probe one domain at a time.
+pub fn probe_all(
     server: SocketAddr,
     domains: &[String],
     config: &ProberConfig,
 ) -> std::io::Result<Vec<ProbeResult>> {
-    let sem = Arc::new(Semaphore::new(config.concurrency.max(1)));
-    let mut handles = Vec::with_capacity(domains.len());
-    for (i, d) in domains.iter().enumerate() {
-        let sem = sem.clone();
-        let d = d.clone();
-        let cfg = config.clone();
-        handles.push(tokio::spawn(async move {
-            let _permit = sem.acquire().await.expect("semaphore closed");
-            probe_one(server, &d, i as u16, &cfg).await
-        }));
+    let workers = config.concurrency.max(1).min(domains.len());
+    let cursor = AtomicUsize::new(0);
+    let per_worker: Vec<std::io::Result<Vec<(usize, ProbeResult)>>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| s.spawn(|| probe_worker(server, domains, &cursor, config)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("probe worker panicked"))
+            .collect()
+    });
+    let mut indexed = Vec::with_capacity(domains.len());
+    for done in per_worker {
+        indexed.extend(done?);
     }
-    let mut out = Vec::with_capacity(domains.len());
-    for h in handles {
-        out.push(h.await.expect("probe task panicked")?);
-    }
-    Ok(out)
+    indexed.sort_unstable_by_key(|&(i, _)| i);
+    Ok(indexed.into_iter().map(|(_, r)| r).collect())
 }
 
-async fn probe_one(
+/// One prober worker: one query in flight at a time, taking the next
+/// unclaimed domain until the list runs out.
+fn probe_worker(
+    server: SocketAddr,
+    domains: &[String],
+    cursor: &AtomicUsize,
+    config: &ProberConfig,
+) -> std::io::Result<Vec<(usize, ProbeResult)>> {
+    let mut done = Vec::new();
+    loop {
+        // Relaxed: the cursor only hands out indices; the scope's join
+        // publishes each worker's results.
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(domain) = domains.get(i) else { break };
+        done.push((i, probe_one(server, domain, i as u16, config)?));
+    }
+    Ok(done)
+}
+
+fn probe_one(
     server: SocketAddr,
     domain: &str,
     id: u16,
     config: &ProberConfig,
 ) -> std::io::Result<ProbeResult> {
-    let socket = UdpSocket::bind(("127.0.0.1", 0)).await?;
-    socket.connect(server).await?;
+    let socket = UdpSocket::bind(("127.0.0.1", 0))?;
+    socket.connect(server)?;
+    socket.set_read_timeout(Some(config.timeout))?;
     let query = Message::query(id, domain, RecordType::A)
         .encode()
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
     let mut buf = vec![0u8; 1500];
     for _ in 0..config.attempts.max(1) {
-        socket.send(&query).await?;
-        match timeout(config.timeout, socket.recv(&mut buf)).await {
-            Ok(Ok(n)) => {
-                let Ok(msg) = Message::decode(&buf[..n]) else {
-                    continue;
-                };
-                if msg.header.id != id || !msg.header.flags.response {
-                    continue;
-                }
-                for rr in &msg.answers {
-                    if let RData::A(ip) = rr.rdata {
-                        return Ok(ProbeResult::Resolved(ip));
-                    }
-                }
-                return Ok(match msg.rcode() {
-                    Rcode::NxDomain => ProbeResult::NxDomain,
-                    _ => ProbeResult::TimedOut,
-                });
-            }
-            // recv errors (e.g. ICMP port-unreachable surfacing as
-            // ConnectionRefused on a connected UDP socket) count as a failed
-            // attempt, same as silence.
-            Ok(Err(_)) => continue,
-            Err(_elapsed) => continue,
+        socket.send(&query)?;
+        // A recv error is a failed attempt: the read timeout elapsing, or
+        // an ICMP port-unreachable surfacing as ConnectionRefused on a
+        // connected UDP socket.
+        let Ok(n) = socket.recv(&mut buf) else {
+            continue;
+        };
+        let Ok(msg) = Message::decode(&buf[..n]) else {
+            continue;
+        };
+        if msg.header.id != id || !msg.header.flags.response {
+            continue;
         }
+        for rr in &msg.answers {
+            if let RData::A(ip) = rr.rdata {
+                return Ok(ProbeResult::Resolved(ip));
+            }
+        }
+        return Ok(match msg.rcode() {
+            Rcode::NxDomain => ProbeResult::NxDomain,
+            _ => ProbeResult::TimedOut,
+        });
     }
     Ok(ProbeResult::TimedOut)
 }
@@ -192,20 +214,20 @@ async fn probe_one(
 /// `(resolved, nxdomain, timed_out)` counts. A production deployment runs
 /// this between the offline scan and the crawl so the crawler only visits
 /// domains that still resolve.
-pub async fn validate_scan(
+pub fn validate_scan(
     store: &crate::store::RecordStore,
     matches: &[crate::scan::SquatRecord],
     config: &ProberConfig,
 ) -> std::io::Result<(usize, usize, usize)> {
-    let server = AuthServer::spawn(store.index()).await?;
+    let server = AuthServer::spawn(store.index())?;
     let domains: Vec<String> = matches
         .iter()
         .map(|m| m.domain.as_str().to_string())
         .collect();
-    let results = probe_all(server.addr(), &domains, config).await?;
-    server.shutdown().await;
+    let results = probe_all(server.addr(), &domains, config);
+    server.shutdown();
     let mut counts = (0usize, 0usize, 0usize);
-    for r in &results {
+    for r in results? {
         match r {
             ProbeResult::Resolved(_) => counts.0 += 1,
             ProbeResult::NxDomain => counts.1 += 1,
@@ -227,32 +249,28 @@ mod tests {
         z
     }
 
-    #[tokio::test]
-    async fn resolves_known_names() {
-        let server = AuthServer::spawn(zone()).await.unwrap();
+    #[test]
+    fn resolves_known_names() {
+        let server = AuthServer::spawn(zone()).unwrap();
         let domains = vec!["faceb00k.pw".to_string(), "goofle.com.ua".to_string()];
-        let res = probe_all(server.addr(), &domains, &ProberConfig::default())
-            .await
-            .unwrap();
+        let res = probe_all(server.addr(), &domains, &ProberConfig::default()).unwrap();
         assert_eq!(res[0], ProbeResult::Resolved(Ipv4Addr::new(203, 0, 113, 1)));
         assert_eq!(res[1], ProbeResult::Resolved(Ipv4Addr::new(203, 0, 113, 2)));
-        server.shutdown().await;
+        server.shutdown();
     }
 
-    #[tokio::test]
-    async fn nxdomain_for_unknown_names() {
-        let server = AuthServer::spawn(zone()).await.unwrap();
+    #[test]
+    fn nxdomain_for_unknown_names() {
+        let server = AuthServer::spawn(zone()).unwrap();
         let domains = vec!["not-in-zone.example".to_string()];
-        let res = probe_all(server.addr(), &domains, &ProberConfig::default())
-            .await
-            .unwrap();
+        let res = probe_all(server.addr(), &domains, &ProberConfig::default()).unwrap();
         assert_eq!(res[0], ProbeResult::NxDomain);
-        server.shutdown().await;
+        server.shutdown();
     }
 
-    #[tokio::test]
-    async fn bulk_probe_with_bounded_concurrency() {
-        let server = AuthServer::spawn(zone()).await.unwrap();
+    #[test]
+    fn bulk_probe_with_bounded_concurrency() {
+        let server = AuthServer::spawn(zone()).unwrap();
         let mut domains: Vec<String> = Vec::new();
         for i in 0..200 {
             domains.push(if i % 3 == 0 {
@@ -265,7 +283,7 @@ mod tests {
             concurrency: 16,
             ..ProberConfig::default()
         };
-        let res = probe_all(server.addr(), &domains, &cfg).await.unwrap();
+        let res = probe_all(server.addr(), &domains, &cfg).unwrap();
         assert_eq!(res.len(), 200);
         for (i, r) in res.iter().enumerate() {
             if i % 3 == 0 {
@@ -274,13 +292,13 @@ mod tests {
                 assert_eq!(*r, ProbeResult::NxDomain);
             }
         }
-        server.shutdown().await;
+        server.shutdown();
     }
 
-    #[tokio::test]
-    async fn timeout_when_no_server() {
+    #[test]
+    fn timeout_when_no_server() {
         // Bind a socket and drop it so nothing listens on the port.
-        let sock = UdpSocket::bind(("127.0.0.1", 0)).await.unwrap();
+        let sock = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
         let dead = sock.local_addr().unwrap();
         drop(sock);
         let cfg = ProberConfig {
@@ -288,30 +306,48 @@ mod tests {
             timeout: Duration::from_millis(50),
             attempts: 1,
         };
-        let res = probe_all(dead, &["x.com".to_string()], &cfg).await.unwrap();
+        let res = probe_all(dead, &["x.com".to_string()], &cfg).unwrap();
         assert_eq!(res[0], ProbeResult::TimedOut);
     }
 
-    #[tokio::test]
-    async fn server_ignores_garbage_packets() {
-        let server = AuthServer::spawn(zone()).await.unwrap();
-        let sock = UdpSocket::bind(("127.0.0.1", 0)).await.unwrap();
-        sock.connect(server.addr()).await.unwrap();
-        sock.send(b"\x00\x01garbage").await.unwrap();
+    #[test]
+    fn shutdown_joins_and_closes_the_socket() {
+        let server = AuthServer::spawn(zone()).unwrap();
+        let addr = server.addr();
+        let domains = ["faceb00k.pw".to_string()];
+        let res = probe_all(addr, &domains, &ProberConfig::default()).unwrap();
+        assert!(matches!(res[0], ProbeResult::Resolved(_)));
+        // Returning at all proves the thread was joined; its socket went
+        // with it, so nothing answers on the port any more.
+        server.shutdown();
+        let cfg = ProberConfig {
+            concurrency: 1,
+            timeout: Duration::from_millis(50),
+            attempts: 1,
+        };
+        let res = probe_all(addr, &domains, &cfg).unwrap();
+        assert_eq!(res[0], ProbeResult::TimedOut);
+    }
+
+    #[test]
+    fn server_ignores_garbage_packets() {
+        let server = AuthServer::spawn(zone()).unwrap();
+        let sock = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        sock.connect(server.addr()).unwrap();
+        sock.send(b"\x00\x01garbage").unwrap();
         // Then a real query still works.
         let res = probe_all(
             server.addr(),
             &["faceb00k.pw".to_string()],
             &ProberConfig::default(),
         )
-        .await
         .unwrap();
         assert!(matches!(res[0], ProbeResult::Resolved(_)));
-        server.shutdown().await;
+        server.shutdown();
     }
 
-    #[tokio::test]
-    async fn validate_scan_round_trips_the_snapshot() {
+    #[test]
+    fn validate_scan_round_trips_the_snapshot() {
         use crate::synth::{generate, SnapshotConfig};
         use squatphi_squat::{BrandRegistry, SquatDetector};
         let registry = BrandRegistry::with_size(15);
@@ -326,9 +362,7 @@ mod tests {
         let outcome = crate::scan(&store, &registry, &detector, 2);
         assert!(outcome.total_matches() > 0);
         let (resolved, nx, timeout) =
-            validate_scan(&store, &outcome.matches, &ProberConfig::default())
-                .await
-                .expect("probe");
+            validate_scan(&store, &outcome.matches, &ProberConfig::default()).expect("probe");
         // Every scan match came out of the snapshot, so everything must
         // re-resolve against the same zone.
         assert_eq!(
@@ -338,17 +372,16 @@ mod tests {
         );
     }
 
-    #[tokio::test]
-    async fn case_insensitive_lookup() {
-        let server = AuthServer::spawn(zone()).await.unwrap();
+    #[test]
+    fn case_insensitive_lookup() {
+        let server = AuthServer::spawn(zone()).unwrap();
         let res = probe_all(
             server.addr(),
             &["FaCeB00k.PW".to_string()],
             &ProberConfig::default(),
         )
-        .await
         .unwrap();
         assert!(matches!(res[0], ProbeResult::Resolved(_)));
-        server.shutdown().await;
+        server.shutdown();
     }
 }

@@ -429,8 +429,8 @@ fn try_scan_impl<C: Classify>(
         (mine, wm)
     };
 
-    let results: Vec<(Vec<(usize, BlockPartial)>, WorkerMetrics)> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (1..workers).map(|_| s.spawn(|_| worker_loop())).collect();
+    let results: Vec<(Vec<(usize, BlockPartial)>, WorkerMetrics)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (1..workers).map(|_| s.spawn(worker_loop)).collect();
         let inline = match catch_unwind(AssertUnwindSafe(&worker_loop)) {
             Ok(r) => r,
             Err(payload) => {
@@ -449,8 +449,7 @@ fn try_scan_impl<C: Classify>(
             }
         }));
         results
-    })
-    .expect("crossbeam scope itself never panics: workers are caught above");
+    });
 
     if let Some((shard, cause)) = failure.into_inner().expect("failure slot") {
         return Err(ScanError { shard, cause });

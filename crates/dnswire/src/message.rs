@@ -3,7 +3,6 @@
 use crate::name::{decode_name, encode_name, Compressor};
 use crate::rdata::{RData, RecordType};
 use crate::WireError;
-use bytes::{BufMut, BytesMut};
 
 /// Query/response opcode (we only use QUERY).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,10 +163,10 @@ impl Message {
 
     /// Encodes the message to wire format.
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        let mut buf = BytesMut::with_capacity(512);
+        let mut buf = Vec::with_capacity(512);
         let mut comp = Compressor::new();
         let f = &self.header.flags;
-        buf.put_u16(self.header.id);
+        buf.extend_from_slice(&self.header.id.to_be_bytes());
         let mut flags: u16 = 0;
         if f.response {
             flags |= 0x8000;
@@ -185,29 +184,29 @@ impl Message {
             flags |= 0x0080;
         }
         flags |= (f.rcode & 0x0F) as u16;
-        buf.put_u16(flags);
-        buf.put_u16(self.questions.len() as u16);
-        buf.put_u16(self.answers.len() as u16);
-        buf.put_u16(self.authority.len() as u16);
-        buf.put_u16(0); // additional
+        buf.extend_from_slice(&flags.to_be_bytes());
+        buf.extend_from_slice(&(self.questions.len() as u16).to_be_bytes());
+        buf.extend_from_slice(&(self.answers.len() as u16).to_be_bytes());
+        buf.extend_from_slice(&(self.authority.len() as u16).to_be_bytes());
+        buf.extend_from_slice(&0u16.to_be_bytes()); // additional
 
         for q in &self.questions {
             encode_name(&q.name, &mut buf, &mut comp)?;
-            buf.put_u16(q.rtype.to_u16());
-            buf.put_u16(1); // class IN
+            buf.extend_from_slice(&q.rtype.to_u16().to_be_bytes());
+            buf.extend_from_slice(&1u16.to_be_bytes()); // class IN
         }
         for rr in self.answers.iter().chain(self.authority.iter()) {
             encode_name(&rr.name, &mut buf, &mut comp)?;
-            buf.put_u16(rr.rdata.record_type().to_u16());
-            buf.put_u16(1); // class IN
-            buf.put_u32(rr.ttl);
+            buf.extend_from_slice(&rr.rdata.record_type().to_u16().to_be_bytes());
+            buf.extend_from_slice(&1u16.to_be_bytes()); // class IN
+            buf.extend_from_slice(&rr.ttl.to_be_bytes());
             let len_pos = buf.len();
-            buf.put_u16(0); // RDLENGTH placeholder
+            buf.extend_from_slice(&0u16.to_be_bytes()); // RDLENGTH placeholder
             rr.rdata.encode(&mut buf, &mut comp)?;
             let rdlen = (buf.len() - len_pos - 2) as u16;
             buf[len_pos..len_pos + 2].copy_from_slice(&rdlen.to_be_bytes());
         }
-        Ok(buf.to_vec())
+        Ok(buf)
     }
 
     /// Decodes a message from wire format.

@@ -1,7 +1,6 @@
 //! Domain-name encoding with RFC 1035 §4.1.4 message compression.
 
 use crate::WireError;
-use bytes::{BufMut, BytesMut};
 use std::collections::HashMap;
 
 /// Errors specific to wire-format names.
@@ -47,10 +46,10 @@ impl Compressor {
 
 /// Encodes `name` (dotted, no trailing dot needed) at the current end of
 /// `buf`, using and updating the compression dictionary.
-pub fn encode_name(name: &str, buf: &mut BytesMut, comp: &mut Compressor) -> Result<(), WireError> {
+pub fn encode_name(name: &str, buf: &mut Vec<u8>, comp: &mut Compressor) -> Result<(), WireError> {
     let name = name.trim_end_matches('.');
     if name.is_empty() {
-        buf.put_u8(0);
+        buf.push(0);
         return Ok(());
     }
     if name.len() > 253 {
@@ -60,7 +59,7 @@ pub fn encode_name(name: &str, buf: &mut BytesMut, comp: &mut Compressor) -> Res
     loop {
         // Known suffix → emit pointer and stop.
         if let Some(&off) = comp.offsets.get(rest) {
-            buf.put_u16(0xC000 | off);
+            buf.extend_from_slice(&(0xC000 | off).to_be_bytes());
             return Ok(());
         }
         // Remember this suffix if the offset is representable (14 bits).
@@ -75,10 +74,10 @@ pub fn encode_name(name: &str, buf: &mut BytesMut, comp: &mut Compressor) -> Res
         if label.is_empty() || label.len() > 63 {
             return Err(NameError::TooLong.into());
         }
-        buf.put_u8(label.len() as u8);
-        buf.put_slice(label.as_bytes());
+        buf.push(label.len() as u8);
+        buf.extend_from_slice(label.as_bytes());
         if tail.is_empty() {
-            buf.put_u8(0);
+            buf.push(0);
             return Ok(());
         }
         rest = tail;
@@ -137,8 +136,8 @@ pub fn decode_name(packet: &[u8], pos: usize) -> Result<(String, usize), WireErr
 mod tests {
     use super::*;
 
-    fn enc(name: &str) -> BytesMut {
-        let mut buf = BytesMut::new();
+    fn enc(name: &str) -> Vec<u8> {
+        let mut buf = Vec::new();
         let mut c = Compressor::new();
         encode_name(name, &mut buf, &mut c).unwrap();
         buf
@@ -170,7 +169,7 @@ mod tests {
 
     #[test]
     fn compression_reuses_suffix() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let mut c = Compressor::new();
         encode_name("mail.example.com", &mut buf, &mut c).unwrap();
         let first_len = buf.len();
@@ -190,7 +189,7 @@ mod tests {
     #[test]
     fn rejects_oversized_labels() {
         let label = "a".repeat(64);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let mut c = Compressor::new();
         assert!(encode_name(&format!("{label}.com"), &mut buf, &mut c).is_err());
     }
@@ -224,7 +223,7 @@ mod tests {
     #[test]
     fn decode_returns_offset_after_pointer() {
         // Packet: name at 0 = "a.com"; name at 7 = pointer to 0.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let mut c = Compressor::new();
         encode_name("a.com", &mut buf, &mut c).unwrap();
         let p = buf.len();

@@ -2,7 +2,6 @@
 
 use crate::name::{decode_name, encode_name, Compressor};
 use crate::WireError;
-use bytes::{BufMut, BytesMut};
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// The record types the ActiveDNS-style dataset carries.
@@ -106,27 +105,23 @@ impl RData {
 
     /// Encodes the payload (without the length prefix — the caller patches
     /// RDLENGTH afterwards because compression makes it position-dependent).
-    pub(crate) fn encode(
-        &self,
-        buf: &mut BytesMut,
-        comp: &mut Compressor,
-    ) -> Result<(), WireError> {
+    pub(crate) fn encode(&self, buf: &mut Vec<u8>, comp: &mut Compressor) -> Result<(), WireError> {
         match self {
-            RData::A(ip) => buf.put_slice(&ip.octets()),
-            RData::Aaaa(ip) => buf.put_slice(&ip.octets()),
+            RData::A(ip) => buf.extend_from_slice(&ip.octets()),
+            RData::Aaaa(ip) => buf.extend_from_slice(&ip.octets()),
             RData::Ns(n) | RData::Cname(n) => encode_name(n, buf, comp)?,
             RData::Mx {
                 preference,
                 exchange,
             } => {
-                buf.put_u16(*preference);
+                buf.extend_from_slice(&preference.to_be_bytes());
                 encode_name(exchange, buf, comp)?;
             }
             RData::Txt(s) => {
                 let bytes = s.as_bytes();
                 let len = bytes.len().min(255);
-                buf.put_u8(len as u8);
-                buf.put_slice(&bytes[..len]);
+                buf.push(len as u8);
+                buf.extend_from_slice(&bytes[..len]);
             }
             RData::Soa {
                 mname,
@@ -135,14 +130,14 @@ impl RData {
             } => {
                 encode_name(mname, buf, comp)?;
                 encode_name(rname, buf, comp)?;
-                buf.put_u32(*serial);
+                buf.extend_from_slice(&serial.to_be_bytes());
                 // refresh / retry / expire / minimum — fixed sane defaults.
-                buf.put_u32(3600);
-                buf.put_u32(600);
-                buf.put_u32(86400);
-                buf.put_u32(60);
+                buf.extend_from_slice(&3600u32.to_be_bytes());
+                buf.extend_from_slice(&600u32.to_be_bytes());
+                buf.extend_from_slice(&86400u32.to_be_bytes());
+                buf.extend_from_slice(&60u32.to_be_bytes());
             }
-            RData::Raw(bytes) => buf.put_slice(bytes),
+            RData::Raw(bytes) => buf.extend_from_slice(bytes),
         }
         Ok(())
     }
@@ -228,7 +223,7 @@ mod tests {
     }
 
     fn round_trip(rd: &RData) -> RData {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let mut c = Compressor::new();
         rd.encode(&mut buf, &mut c).unwrap();
         RData::decode(rd.record_type(), &buf, 0, buf.len()).unwrap()

@@ -1,9 +1,8 @@
 //! HTTP client with redirect following.
 
 use crate::codec::{Request, Response, Status};
-use std::net::SocketAddr;
-use tokio::io::{AsyncReadExt, AsyncWriteExt};
-use tokio::net::TcpStream;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 
 /// Client errors.
 #[derive(Debug)]
@@ -55,7 +54,7 @@ pub enum FetchOutcome {
 /// outside the world 404 and surface as `Unreachable`... unless a page was
 /// already collected, which mirrors how the paper's crawler records the
 /// destination URL of each redirect chain.
-pub async fn fetch(
+pub fn fetch(
     addr: SocketAddr,
     host: &str,
     user_agent: &str,
@@ -64,7 +63,7 @@ pub async fn fetch(
     let mut current = host.to_string();
     let mut redirects = Vec::new();
     for _ in 0..=max_redirects {
-        let resp = fetch_once(addr, &current, user_agent).await?;
+        let resp = fetch_once(addr, &current, user_agent)?;
         match resp.status {
             Status::Ok => {
                 return Ok(FetchOutcome::Page {
@@ -97,16 +96,12 @@ pub async fn fetch(
     Ok(FetchOutcome::TooManyRedirects)
 }
 
-async fn fetch_once(
-    addr: SocketAddr,
-    host: &str,
-    user_agent: &str,
-) -> Result<Response, FetchError> {
-    let mut stream = TcpStream::connect(addr).await?;
+fn fetch_once(addr: SocketAddr, host: &str, user_agent: &str) -> Result<Response, FetchError> {
+    let mut stream = TcpStream::connect(addr)?;
     let req = Request::get(host, "/", user_agent);
-    stream.write_all(&req.encode()).await?;
+    stream.write_all(&req.encode())?;
     let mut buf = Vec::with_capacity(4096);
-    stream.read_to_end(&mut buf).await?;
+    stream.read_to_end(&mut buf)?;
     Response::parse(&buf).ok_or(FetchError::BadResponse)
 }
 

@@ -1,7 +1,5 @@
 //! HTTP/1.1 request/response types and wire codec (GET-only subset).
 
-use bytes::{BufMut, BytesMut};
-
 /// A parsed GET request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -29,15 +27,15 @@ impl Request {
 
     /// Encodes to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(256);
-        buf.put_slice(b"GET ");
-        buf.put_slice(self.path.as_bytes());
-        buf.put_slice(b" HTTP/1.1\r\nHost: ");
-        buf.put_slice(self.host.as_bytes());
-        buf.put_slice(b"\r\nUser-Agent: ");
-        buf.put_slice(self.user_agent.as_bytes());
-        buf.put_slice(b"\r\nAccept: text/html\r\nConnection: close\r\n\r\n");
-        buf.to_vec()
+        let mut buf = Vec::with_capacity(256);
+        buf.extend_from_slice(b"GET ");
+        buf.extend_from_slice(self.path.as_bytes());
+        buf.extend_from_slice(b" HTTP/1.1\r\nHost: ");
+        buf.extend_from_slice(self.host.as_bytes());
+        buf.extend_from_slice(b"\r\nUser-Agent: ");
+        buf.extend_from_slice(self.user_agent.as_bytes());
+        buf.extend_from_slice(b"\r\nAccept: text/html\r\nConnection: close\r\n\r\n");
+        buf
     }
 
     /// Parses a request head (everything up to the blank line).
@@ -147,8 +145,8 @@ impl Response {
 
     /// Encodes to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(self.body.len() + 128);
-        buf.put_slice(
+        let mut buf = Vec::with_capacity(self.body.len() + 128);
+        buf.extend_from_slice(
             format!(
                 "HTTP/1.1 {} {}\r\n",
                 self.status.code(),
@@ -157,13 +155,13 @@ impl Response {
             .as_bytes(),
         );
         if let Some(loc) = &self.location {
-            buf.put_slice(format!("Location: {loc}\r\n").as_bytes());
+            buf.extend_from_slice(format!("Location: {loc}\r\n").as_bytes());
         }
-        buf.put_slice(b"Content-Type: text/html; charset=utf-8\r\n");
-        buf.put_slice(format!("Content-Length: {}\r\n", self.body.len()).as_bytes());
-        buf.put_slice(b"Connection: close\r\n\r\n");
-        buf.put_slice(self.body.as_bytes());
-        buf.to_vec()
+        buf.extend_from_slice(b"Content-Type: text/html; charset=utf-8\r\n");
+        buf.extend_from_slice(format!("Content-Length: {}\r\n", self.body.len()).as_bytes());
+        buf.extend_from_slice(b"Connection: close\r\n\r\n");
+        buf.extend_from_slice(self.body.as_bytes());
+        buf
     }
 
     /// Parses a full response (head + body). `None` on malformed input.

@@ -1,14 +1,18 @@
-//! Minimal HTTP/1.1 substrate over tokio TCP.
+//! Minimal HTTP/1.1 substrate over blocking `std::net` TCP.
 //!
 //! The paper's crawler drives headless Chrome over real HTTP; our
-//! reproduction keeps a real-socket path so the crawl exercises genuine
-//! networking (connection handling, redirects, user agents) while the
-//! content comes from the [`squatphi_web::WebWorld`]. One server process
-//! hosts *every* domain of the world, virtual-host style, keyed by the
-//! `Host` header — exactly how a test lab would stub the internet.
+//! reproduction keeps a real-socket path (`tests/network.rs`, the
+//! `active_probe` example) that exercises genuine networking (connection
+//! handling, redirects, user agents) while the content comes from the
+//! [`squatphi_web::WebWorld`]. One server process hosts *every* domain of
+//! the world, virtual-host style, keyed by the `Host` header — exactly how
+//! a test lab would stub the internet.
 //!
 //! Scope: request line + headers (no bodies on requests, fixed-length
-//! bodies on responses), `GET` only, keep-alive off for simplicity.
+//! bodies on responses), `GET` only, one request per connection
+//! (`Connection: close`). The server is one thread answering connections
+//! in turn; the client is a plain blocking function, and callers that
+//! want parallel fetches run it on their own threads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,47 +2,45 @@
 
 use crate::codec::{find_head_end, Request, Response};
 use squatphi_web::{Device, ServeResult, WebWorld};
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use tokio::io::{AsyncReadExt, AsyncWriteExt};
-use tokio::net::{TcpListener, TcpStream};
-use tokio::sync::watch;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
-/// A running world server.
+/// How long the server waits on a connected client's next bytes. One
+/// thread serves every connection in turn, so a client that connects and
+/// then says nothing must not hold the accept loop (or `shutdown`) forever.
+const READ_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// A running world server: one thread that accepts and answers
+/// connections one at a time.
 pub struct WorldServer {
     addr: SocketAddr,
-    shutdown: watch::Sender<bool>,
-    task: tokio::task::JoinHandle<()>,
+    stop: Arc<AtomicBool>,
+    thread: JoinHandle<()>,
 }
 
 impl WorldServer {
     /// Spawns the server on an ephemeral localhost port. The server keys
     /// every request on its `Host` header and the user-agent's device
     /// profile; `snapshot` fixes the point in time being served.
-    pub async fn spawn(world: Arc<WebWorld>, snapshot: u8) -> std::io::Result<WorldServer> {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).await?;
+    pub fn spawn(world: Arc<WebWorld>, snapshot: u8) -> std::io::Result<WorldServer> {
+        let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        let (tx, rx) = watch::channel(false);
-        let task = tokio::spawn(async move {
-            loop {
-                let mut rx_accept = rx.clone();
-                tokio::select! {
-                    _ = rx_accept.changed() => break,
-                    accepted = listener.accept() => {
-                        let Ok((stream, _)) = accepted else { continue };
-                        let world = world.clone();
-                        tokio::spawn(async move {
-                            let _ = handle_connection(stream, &world, snapshot).await;
-                        });
-                    }
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopped = stop.clone();
+        let thread = std::thread::spawn(move || {
+            for accepted in listener.incoming() {
+                if stopped.load(Ordering::SeqCst) {
+                    break;
                 }
+                let Ok(stream) = accepted else { continue };
+                let _ = handle_connection(stream, &world, snapshot);
             }
         });
-        Ok(WorldServer {
-            addr,
-            shutdown: tx,
-            task,
-        })
+        Ok(WorldServer { addr, stop, thread })
     }
 
     /// The bound address.
@@ -50,22 +48,22 @@ impl WorldServer {
         self.addr
     }
 
-    /// Stops accepting and waits for the accept loop to end.
-    pub async fn shutdown(self) {
-        let _ = self.shutdown.send(true);
-        let _ = self.task.await;
+    /// Stops accepting, closes the listener and joins the server thread.
+    pub fn shutdown(self) {
+        self.stop.store(true, Ordering::SeqCst);
+        // `accept` has no timeout: a throwaway connection wakes the loop
+        // so it sees the flag.
+        let _ = TcpStream::connect(self.addr);
+        let _ = self.thread.join();
     }
 }
 
-async fn handle_connection(
-    mut stream: TcpStream,
-    world: &WebWorld,
-    snapshot: u8,
-) -> std::io::Result<()> {
+fn handle_connection(mut stream: TcpStream, world: &WebWorld, snapshot: u8) -> std::io::Result<()> {
+    stream.set_read_timeout(Some(READ_TIMEOUT))?;
     let mut buf = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
     let head_end = loop {
-        let n = stream.read(&mut chunk).await?;
+        let n = stream.read(&mut chunk)?;
         if n == 0 {
             return Ok(());
         }
@@ -100,8 +98,8 @@ async fn handle_connection(
             body: String::new(),
         },
     };
-    stream.write_all(&response.encode()).await?;
-    stream.shutdown().await.ok();
+    stream.write_all(&response.encode())?;
+    stream.shutdown(Shutdown::Write).ok();
     Ok(())
 }
 
@@ -138,45 +136,39 @@ mod tests {
         Arc::new(WebWorld::build(&squats, &registry, &cfg))
     }
 
-    #[tokio::test]
-    async fn serves_phishing_page_over_tcp() {
-        let server = WorldServer::spawn(world(), 0).await.unwrap();
-        let out = fetch(server.addr(), "paypal-cash.com", ua::WEB, 5)
-            .await
-            .unwrap();
+    #[test]
+    fn serves_phishing_page_over_tcp() {
+        let server = WorldServer::spawn(world(), 0).unwrap();
+        let out = fetch(server.addr(), "paypal-cash.com", ua::WEB, 5).unwrap();
         match out {
             FetchOutcome::Page { body, .. } => assert!(body.contains("form")),
             other => panic!("expected page, got {other:?}"),
         }
-        server.shutdown().await;
+        server.shutdown();
     }
 
-    #[tokio::test]
-    async fn unknown_host_404s() {
-        let server = WorldServer::spawn(world(), 0).await.unwrap();
-        let out = fetch(server.addr(), "nosuchhost.example", ua::WEB, 5)
-            .await
-            .unwrap();
+    #[test]
+    fn unknown_host_404s() {
+        let server = WorldServer::spawn(world(), 0).unwrap();
+        let out = fetch(server.addr(), "nosuchhost.example", ua::WEB, 5).unwrap();
         assert!(matches!(out, FetchOutcome::Unreachable));
-        server.shutdown().await;
+        server.shutdown();
     }
 
-    #[tokio::test]
-    async fn brand_sites_served() {
-        let server = WorldServer::spawn(world(), 0).await.unwrap();
-        let out = fetch(server.addr(), "paypal.com", ua::MOBILE, 5)
-            .await
-            .unwrap();
+    #[test]
+    fn brand_sites_served() {
+        let server = WorldServer::spawn(world(), 0).unwrap();
+        let out = fetch(server.addr(), "paypal.com", ua::MOBILE, 5).unwrap();
         match out {
             FetchOutcome::Page { body, .. } => assert!(body.contains("paypal")),
             other => panic!("expected page, got {other:?}"),
         }
-        server.shutdown().await;
+        server.shutdown();
     }
 
-    #[tokio::test]
-    async fn parallel_requests_served() {
-        let server = WorldServer::spawn(world(), 0).await.unwrap();
+    #[test]
+    fn parallel_requests_served() {
+        let server = WorldServer::spawn(world(), 0).unwrap();
         let addr = server.addr();
         let mut handles = Vec::new();
         for i in 0..50 {
@@ -185,13 +177,23 @@ mod tests {
             } else {
                 "faceb00k.pw"
             };
-            handles.push(tokio::spawn(
-                async move { fetch(addr, host, ua::WEB, 5).await },
-            ));
+            handles.push(std::thread::spawn(move || fetch(addr, host, ua::WEB, 5)));
         }
         for h in handles {
-            assert!(h.await.unwrap().is_ok());
+            assert!(h.join().unwrap().is_ok());
         }
-        server.shutdown().await;
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_joins_and_closes_the_listener() {
+        let server = WorldServer::spawn(world(), 0).unwrap();
+        let addr = server.addr();
+        assert!(fetch(addr, "paypal-cash.com", ua::WEB, 5).is_ok());
+        // Returning at all proves the thread was joined; the listener went
+        // with it, so the port now refuses connections.
+        server.shutdown();
+        let err = fetch(addr, "paypal-cash.com", ua::WEB, 5).unwrap_err();
+        assert!(matches!(err, crate::FetchError::Io(_)), "{err}");
     }
 }

@@ -19,8 +19,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-#[tokio::main]
-async fn main() -> std::io::Result<()> {
+fn main() -> std::io::Result<()> {
     let registry = BrandRegistry::with_size(30);
     let brand = registry.by_label("uber").expect("uber in registry");
 
@@ -51,9 +50,9 @@ async fn main() -> std::io::Result<()> {
             registered.push(d.clone());
         }
     }
-    let dns = AuthServer::spawn(zone).await?;
+    let dns = AuthServer::spawn(zone)?;
 
-    let results = probe_all(dns.addr(), &candidates, &ProberConfig::default()).await?;
+    let results = probe_all(dns.addr(), &candidates, &ProberConfig::default())?;
     let resolved: Vec<&String> = candidates
         .iter()
         .zip(&results)
@@ -65,7 +64,7 @@ async fn main() -> std::io::Result<()> {
         .filter(|r| matches!(r, ProbeResult::NxDomain))
         .count();
     println!("DNS: {} resolved, {} NXDOMAIN", resolved.len(), nx);
-    dns.shutdown().await;
+    dns.shutdown();
 
     // Build a tiny web world over the registered candidates and serve it
     // over real TCP.
@@ -90,12 +89,12 @@ async fn main() -> std::io::Result<()> {
             ..WorldConfig::default()
         },
     ));
-    let http = WorldServer::spawn(world, 0).await?;
+    let http = WorldServer::spawn(world, 0)?;
 
     println!("\nHTTP crawl of resolving candidates:");
     for d in resolved.iter().take(12) {
         for (label, agent) in [("web", ua::WEB), ("mobile", ua::MOBILE)] {
-            match fetch(http.addr(), d, agent, 5).await {
+            match fetch(http.addr(), d, agent, 5) {
                 Ok(FetchOutcome::Page {
                     body, redirects, ..
                 }) => {
@@ -118,6 +117,6 @@ async fn main() -> std::io::Result<()> {
             }
         }
     }
-    http.shutdown().await;
+    http.shutdown();
     Ok(())
 }

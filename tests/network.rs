@@ -33,8 +33,8 @@ fn build_world(registry: &BrandRegistry, domains: &[String]) -> Arc<WebWorld> {
     ))
 }
 
-#[tokio::test]
-async fn dns_probe_then_http_fetch() {
+#[test]
+fn dns_probe_then_http_fetch() {
     let registry = BrandRegistry::with_size(8);
     let domains: Vec<String> = (0..12).map(|i| format!("paypal-net{i}.com")).collect();
 
@@ -45,10 +45,8 @@ async fn dns_probe_then_http_fetch() {
             zone.insert(d.clone(), Ipv4Addr::new(203, 0, 113, i as u8));
         }
     }
-    let dns = AuthServer::spawn(zone).await.expect("dns server");
-    let results = probe_all(dns.addr(), &domains, &ProberConfig::default())
-        .await
-        .expect("probe");
+    let dns = AuthServer::spawn(zone).expect("dns server");
+    let results = probe_all(dns.addr(), &domains, &ProberConfig::default()).expect("probe");
     let resolved: Vec<String> = domains
         .iter()
         .zip(&results)
@@ -56,40 +54,32 @@ async fn dns_probe_then_http_fetch() {
         .map(|(d, _)| d.clone())
         .collect();
     assert_eq!(resolved.len(), 6);
-    dns.shutdown().await;
+    dns.shutdown();
 
     // HTTP: fetch the resolving candidates from the world server.
     let world = build_world(&registry, &resolved);
-    let server = WorldServer::spawn(world.clone(), 0)
-        .await
-        .expect("http server");
+    let server = WorldServer::spawn(world.clone(), 0).expect("http server");
     let mut pages = 0;
     for d in &resolved {
-        match fetch(server.addr(), d, ua::WEB, 5).await.expect("fetch") {
+        match fetch(server.addr(), d, ua::WEB, 5).expect("fetch") {
             FetchOutcome::Page { .. } => pages += 1,
             FetchOutcome::Unreachable | FetchOutcome::TooManyRedirects => {}
         }
     }
     assert!(pages > 0, "no pages served over TCP");
-    server.shutdown().await;
+    server.shutdown();
 }
 
-#[tokio::test]
-async fn mobile_and_web_profiles_can_differ_over_tcp() {
+#[test]
+fn mobile_and_web_profiles_can_differ_over_tcp() {
     let registry = BrandRegistry::with_size(8);
     let domains: Vec<String> = (0..30).map(|i| format!("google-svc{i}.com")).collect();
     let world = build_world(&registry, &domains);
-    let server = WorldServer::spawn(world.clone(), 0)
-        .await
-        .expect("http server");
+    let server = WorldServer::spawn(world.clone(), 0).expect("http server");
     let mut differing = 0;
     for d in &domains {
-        let web = fetch(server.addr(), d, ua::WEB, 5)
-            .await
-            .expect("web fetch");
-        let mobile = fetch(server.addr(), d, ua::MOBILE, 5)
-            .await
-            .expect("mobile fetch");
+        let web = fetch(server.addr(), d, ua::WEB, 5).expect("web fetch");
+        let mobile = fetch(server.addr(), d, ua::MOBILE, 5).expect("mobile fetch");
         if web != mobile {
             differing += 1;
         }
@@ -100,30 +90,26 @@ async fn mobile_and_web_profiles_can_differ_over_tcp() {
         "no cloaking observed across {} domains",
         domains.len()
     );
-    server.shutdown().await;
+    server.shutdown();
 }
 
-#[tokio::test]
-async fn snapshots_are_observable_over_tcp() {
+#[test]
+fn snapshots_are_observable_over_tcp() {
     let registry = BrandRegistry::with_size(8);
     let domains: Vec<String> = (0..40).map(|i| format!("citi-alerts{i}.com")).collect();
     let world = build_world(&registry, &domains);
 
-    let s0 = WorldServer::spawn(world.clone(), 0)
-        .await
-        .expect("server s0");
-    let s3 = WorldServer::spawn(world.clone(), 3)
-        .await
-        .expect("server s3");
+    let s0 = WorldServer::spawn(world.clone(), 0).expect("server s0");
+    let s3 = WorldServer::spawn(world.clone(), 3).expect("server s3");
     let mut changed = 0;
     for d in &domains {
-        let early = fetch(s0.addr(), d, ua::MOBILE, 5).await.expect("fetch s0");
-        let late = fetch(s3.addr(), d, ua::MOBILE, 5).await.expect("fetch s3");
+        let early = fetch(s0.addr(), d, ua::MOBILE, 5).expect("fetch s0");
+        let late = fetch(s3.addr(), d, ua::MOBILE, 5).expect("fetch s3");
         if early != late {
             changed += 1;
         }
     }
     assert!(changed > 0, "no takedowns visible between snapshots");
-    s0.shutdown().await;
-    s3.shutdown().await;
+    s0.shutdown();
+    s3.shutdown();
 }
