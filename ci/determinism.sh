@@ -7,8 +7,11 @@
 #
 # Outputs land in target/determinism/<surface>-{a,b}.json and are left in
 # place so a job can upload them (the conformance report carries the
-# shrunk violating inputs). `watch` is the interrupted run (--stop-after),
-# the variant both the watch and the telemetry gates care about.
+# shrunk violating inputs). `watch` runs its `a` side at --threads 4 and
+# its `b` side at --threads 1, so the same `cmp` also proves the summary
+# does not depend on the thread count — on the seed-2020 stream whose
+# fingerprint once did, then on the interrupted run (--stop-after) as a
+# second pair (watch-stop-{a,b}.json).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,11 +24,19 @@ printf 'faceb00k.pw.\t300\tIN\tA\t203.0.113.1\npaypal-cash.com.\t300\tIN\tA\t203
 squatphi() { cargo run --release -q -p squatphi-cli --bin squatphi -- "$@"; }
 
 run() {
-    local json=$1
-    case $surface in
+    local name=$1 side=$2 json=$out/$1-$2.json
+    local -A watch_threads=([a]=4 [b]=1) # only the watch surfaces vary it
+    case $name in
         scan) squatphi scan "$zone" --json > "$json" ;;
         crawl) squatphi crawl "$zone" --threads 1 --chaos every-2 --seed 3 --json > "$json" ;;
-        watch) squatphi watch --seed 7 --events 2000 --stop-after 900 --json > "$json" ;;
+        watch)
+            squatphi watch --seed 2020 --events 10000 --threads "${watch_threads[$side]}" \
+                --json > "$json"
+            ;;
+        watch-stop)
+            squatphi watch --seed 7 --events 2000 --stop-after 900 \
+                --threads "${watch_threads[$side]}" --json > "$json"
+            ;;
         conformance) squatphi conformance --seed 1 --budget ci --json > "$json" ;;
         repro)
             cargo run --release -q -p squatphi-experiments --bin repro -- \
@@ -36,13 +47,22 @@ run() {
                 "$json" --strip-timings
             ;;
         *)
-            echo "determinism: unknown surface '$surface'" >&2
+            echo "determinism: unknown surface '$name'" >&2
             exit 2
             ;;
     esac
 }
 
-run "$out/$surface-a.json"
-run "$out/$surface-b.json"
-cmp "$out/$surface-a.json" "$out/$surface-b.json"
-echo "determinism: $surface --json is two-run byte-identical"
+compare() {
+    local name=$1 note=
+    run "$name" a
+    run "$name" b
+    cmp "$out/$name-a.json" "$out/$name-b.json"
+    case $name in watch*) note=" (--threads 4 vs --threads 1)" ;; esac
+    echo "determinism: $name --json is two-run byte-identical$note"
+}
+
+compare "$surface"
+if [ "$surface" = watch ]; then
+    compare watch-stop
+fi

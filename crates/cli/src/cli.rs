@@ -99,7 +99,7 @@ pub enum Command {
         events: u64,
         /// Monitored brands.
         brands: usize,
-        /// Worker threads (never affects outputs).
+        /// Accepted and validated; the watch loop is single-threaded.
         threads: usize,
         /// Stop once this many events have been injected (checkpointing
         /// first when `--checkpoint` is set).

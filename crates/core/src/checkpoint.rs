@@ -928,10 +928,7 @@ mod tests {
         let faults = PipelineFaultPlan::none();
         let mut threads = base.clone();
         threads.threads = 99;
-        let mut cache = base.clone();
-        cache.analysis_cache = false;
         assert_eq!(config_hash(&base, &faults), config_hash(&threads, &faults));
-        assert_eq!(config_hash(&base, &faults), config_hash(&cache, &faults));
         let mut seed = base.clone();
         seed.seed = 999;
         assert_ne!(config_hash(&base, &faults), config_hash(&seed, &faults));

@@ -27,15 +27,6 @@ pub struct SimConfig {
     pub sampled_benign: usize,
     /// Cross-validation folds (paper: 10).
     pub cv_folds: usize,
-    /// Front page analysis with the content-addressed artifact cache
-    /// (off = re-derive every page; outputs are byte-identical either
-    /// way, only speed and the hit/miss counters change).
-    pub analysis_cache: bool,
-    /// Visual-similarity lookups through the multi-index Hamming-space
-    /// `imghash::index::HashIndex` (off = the preserved linear scan;
-    /// results are set-identical either way, only speed and the
-    /// `phash.index.*` counters change).
-    pub phash_index: bool,
     /// Master seed.
     pub seed: u64,
 }
@@ -54,8 +45,6 @@ impl SimConfig {
                 .unwrap_or(4),
             sampled_benign: 1_565,
             cv_folds: 10,
-            analysis_cache: true,
-            phash_index: true,
             seed: 2018,
         }
     }
@@ -84,8 +73,6 @@ impl SimConfig {
             threads: 2,
             sampled_benign: 60,
             cv_folds: 3,
-            analysis_cache: true,
-            phash_index: true,
             seed: 14,
         }
     }
@@ -112,8 +99,6 @@ impl SimConfig {
             threads: 4,
             sampled_benign: 150,
             cv_folds: 5,
-            analysis_cache: true,
-            phash_index: true,
             seed: 14,
         }
     }

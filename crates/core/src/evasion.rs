@@ -8,7 +8,7 @@
 //! only to hand-roll that amortization and are gone.
 
 use crate::artifact::{PageAnalyzer, PageArtifact};
-use squatphi_imghash::{index, ImageHash};
+use squatphi_imghash::ImageHash;
 
 /// Per-page evasion measurements.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,32 +51,14 @@ pub fn measure_artifacts(
     brand: &PageArtifact,
     brand_label: &str,
 ) -> EvasionMeasurement {
-    measure_corpus(std::iter::once(page), brand, brand_label, false)
+    measure_corpus(std::iter::once(page), brand, brand_label)
         .pop()
         .expect("one page in, one measurement out")
 }
 
 /// Layout distances from `brand_hash` to every page hash, in corpus order.
-///
-/// `indexed` routes through the Hamming-space [`index::HashIndex`] — one
-/// radius-64 query over a corpus index replaces the per-page pairwise
-/// loop — while `false` keeps the preserved [`index::linear`] oracle. The
-/// two are set-identical by construction (the conformance `phash-index`
-/// oracle pins it), so the flag only changes speed and counters.
-pub fn layout_distances(
-    page_hashes: &[ImageHash],
-    brand_hash: ImageHash,
-    indexed: bool,
-) -> Vec<u32> {
-    let neighbors = if indexed {
-        index::HashIndex::from_hashes(page_hashes.iter().copied()).within(&brand_hash, 64)
-    } else {
-        index::linear::within(page_hashes, &brand_hash, 64)
-    };
-    // Radius 64 covers the whole Hamming cube and both paths emit
-    // ascending insertion ids, so this is exactly corpus order.
-    debug_assert_eq!(neighbors.len(), page_hashes.len());
-    neighbors.into_iter().map(|n| n.distance).collect()
+pub fn layout_distances(page_hashes: &[ImageHash], brand_hash: ImageHash) -> Vec<u32> {
+    page_hashes.iter().map(|h| brand_hash.distance(h)).collect()
 }
 
 /// Measures a whole corpus of pages against one brand page — the bulk
@@ -86,7 +68,6 @@ pub fn measure_corpus<'a, I>(
     pages: I,
     brand: &PageArtifact,
     brand_label: &str,
-    indexed: bool,
 ) -> Vec<EvasionMeasurement>
 where
     I: IntoIterator<Item = &'a PageArtifact>,
@@ -94,7 +75,7 @@ where
     let pages: Vec<&PageArtifact> = pages.into_iter().collect();
     let hashes: Vec<ImageHash> = pages.iter().map(|p| p.image_hash).collect();
     let label_lower = brand_label.to_ascii_lowercase();
-    layout_distances(&hashes, brand.image_hash, indexed)
+    layout_distances(&hashes, brand.image_hash)
         .into_iter()
         .zip(&pages)
         .map(|(layout_distance, page)| EvasionMeasurement {
@@ -236,7 +217,7 @@ mod tests {
     }
 
     #[test]
-    fn corpus_path_matches_pairwise_with_index_on_and_off() {
+    fn corpus_path_matches_pairwise() {
         let analyzer = PageAnalyzer::new();
         let reg = BrandRegistry::with_size(5);
         let brand = reg.by_label("paypal").unwrap();
@@ -251,29 +232,27 @@ mod tests {
             .iter()
             .map(|a| measure_artifacts(a, &brand_artifact, "paypal"))
             .collect();
-        for indexed in [false, true] {
-            let bulk = measure_corpus(
-                artifacts.iter().map(|a| a.as_ref()),
-                &brand_artifact,
-                "paypal",
-                indexed,
-            );
-            assert_eq!(bulk, pairwise, "indexed = {indexed}");
-        }
+        let bulk = measure_corpus(
+            artifacts.iter().map(|a| a.as_ref()),
+            &brand_artifact,
+            "paypal",
+        );
+        assert_eq!(bulk, pairwise);
     }
 
     #[test]
-    fn layout_distances_index_matches_linear() {
+    fn layout_distances_match_the_linear_oracle() {
         let hashes: Vec<ImageHash> = [0u64, 1, 0xFF, u64::MAX, 0x5555_5555_5555_5555]
             .iter()
             .copied()
             .map(ImageHash)
             .collect();
         let query = ImageHash(0b1010);
-        assert_eq!(
-            layout_distances(&hashes, query, true),
-            layout_distances(&hashes, query, false),
-        );
+        let oracle: Vec<u32> = squatphi_imghash::index::linear::within(&hashes, &query, 64)
+            .into_iter()
+            .map(|n| n.distance)
+            .collect();
+        assert_eq!(layout_distances(&hashes, query), oracle);
     }
 
     #[test]

@@ -23,9 +23,14 @@ use crate::artifact::{PageAnalyzer, PageArtifact};
 use squatphi_ml::Dataset;
 use squatphi_nlp::{FeatureSpace, SparseVec, SpellChecker};
 use squatphi_squat::BrandRegistry;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use squatphi_telemetry::par_map;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// `par_map` grain of page analysis: a cache miss (parse → render → OCR)
+/// costs ~0.9 ms against ~50 µs to spawn a thread, so one page already
+/// pays for a worker.
+pub(crate) const ANALYZE_GRAIN: usize = 1;
 
 /// Keywords beyond the spell-check dictionary that frequently appear in
 /// ground-truth phishing pages (§5.2 builds this list from the training
@@ -194,46 +199,11 @@ impl FeatureExtractor {
         }
     }
 
-    /// Analyzes many pages in parallel (stage 1 of the batch executor).
-    /// Workers pull indices from a shared cursor, so a run of cache hits
-    /// on one thread never stalls the others the way fixed chunking did.
+    /// Analyzes many pages in parallel (stage 1 of the batch executor),
+    /// in input order.
     pub fn analyze_batch(&self, htmls: &[&str], threads: usize) -> Vec<Arc<PageArtifact>> {
-        let threads = threads.max(1).min(htmls.len().max(1));
-        if threads <= 1 {
-            return htmls.iter().map(|h| self.analyzer.analyze(h)).collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut mine = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= htmls.len() {
-                                break;
-                            }
-                            mine.push((i, self.analyzer.analyze(htmls[i])));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            let mut slots: Vec<Option<Arc<PageArtifact>>> = vec![None; htmls.len()];
-            for h in handles {
-                // analyze() is panic-free on arbitrary HTML; a panic here
-                // is a bug worth surfacing, not swallowing.
-                for (i, a) in h
-                    .join()
-                    .expect("analysis worker panicked; its artifacts are lost")
-                {
-                    slots[i] = Some(a);
-                }
-            }
-            slots
-                .into_iter()
-                .map(|s| s.expect("the cursor hands out every index exactly once"))
-                .collect()
+        par_map(htmls.len(), threads, ANALYZE_GRAIN, |i| {
+            self.analyzer.analyze(htmls[i])
         })
     }
 

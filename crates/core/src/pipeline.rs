@@ -121,11 +121,6 @@ pub struct PipelineResult {
     /// about *how* the run persisted, not *what* it computed — excluded
     /// from [`PipelineResult::fingerprint`].
     pub durability: DurabilityStats,
-    /// Whether visual-similarity consumers (fig8/fig9, Tables 6/11, the
-    /// snapshot re-classifier) route through `imghash::index::HashIndex`
-    /// or the preserved linear oracle (`SimConfig::phash_index`). Results
-    /// are set-identical either way.
-    pub phash_index: bool,
 }
 
 impl PipelineResult {
@@ -526,11 +521,7 @@ impl SquatPhi {
                 seed: config.feed.seed,
             },
         );
-        let extractor = if config.analysis_cache {
-            FeatureExtractor::new(&registry)
-        } else {
-            FeatureExtractor::uncached(&registry)
-        };
+        let extractor = FeatureExtractor::new(&registry);
         let (train_split, eval, model) = {
             let mut resumed = None;
             if opts.resume {
@@ -657,7 +648,6 @@ impl SquatPhi {
             analysis,
             supervision,
             durability,
-            phash_index: config.phash_index,
         })
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! ```text
 //!   EventStream ──ingest──▶ [ingest queue] ──detect──▶ [candidate queue]
-//!        │  (bounded: drops)       (SquatDetector,        (bounded: stalls)
-//!        ▼                          worker threads)             │
+//!        │  (bounded: drops)       (SquatDetector)        (bounded: stalls)
+//!        ▼                                                      │
 //!   VirtualClock ──── cadence ticks ────────────────────────────▼
 //!                                                        crawl sweep
 //!                                              (WebWorld + transport stack,
@@ -25,9 +25,9 @@
 //!
 //! Determinism contract: the whole run is a pure function of
 //! `(WatchConfig, stop point)` — same seed and same `stop_after` produce
-//! a byte-identical [`WatchSummary::to_json`], at any worker-thread
-//! count. The watermark checkpoint (generational `watch.g<N>.ckpt` files
-//! persisted through [`squatphi_durability::DurableStore`], reusing the
+//! a byte-identical [`WatchSummary::to_json`], at any `threads` setting
+//! (the loop is single-threaded). The watermark checkpoint
+//! (generational `watch.g<N>.ckpt` files persisted through [`squatphi_durability::DurableStore`], reusing the
 //! [`crate::checkpoint`] codec conventions) round-trips the full daemon
 //! state, so killing the daemon at a checkpoint and resuming reproduces
 //! the uninterrupted run's [`WatchSummary::state_fingerprint`] exactly.
@@ -155,8 +155,10 @@ impl WatchConfig {
         self.crawl_batch
     }
 
-    /// Worker threads for the detect and crawl stages. Never affects
-    /// outputs — only wall-clock.
+    /// Unused: the watch loop runs on one thread (a tick's ≤`detect_batch`
+    /// names and a sweep's ≤`crawl_batch` jobs are too small to pay for a
+    /// spawn, and sweeps must be sequential). Kept, with its builder,
+    /// because `sysbench` and the CLI's `--threads` set it.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -261,7 +263,8 @@ impl WatchConfigBuilder {
         self
     }
 
-    /// Worker threads (must be >= 1).
+    /// Validated (must be >= 1) but otherwise unused; see
+    /// [`WatchConfig::threads`].
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
         self
@@ -1146,40 +1149,20 @@ impl Runner<'_> {
         }
     }
 
-    /// Parallel, order-stable classification of a batch: a pure map
-    /// chunked over the worker threads, so the thread count can never
-    /// change the result.
+    /// Classification of a batch, on the calling thread: `detect` caps a
+    /// batch at `detect_batch` names (default 16) and one name classifies
+    /// in ~0.3 µs, so no batch comes near the ~50 µs a thread spawn costs.
     fn classify_batch(&self, events: &[StreamEvent]) -> Vec<Option<SquatMatch>> {
-        let classify = |event: &StreamEvent| -> Option<SquatMatch> {
-            let StreamEvent::Registration { domain, .. } = event else {
-                return None;
-            };
-            let parsed = DomainName::parse(domain).ok()?;
-            self.detector.classify(&parsed)
-        };
-        let threads = self.config.threads.min(events.len()).max(1);
-        if threads == 1 {
-            return events.iter().map(classify).collect();
-        }
-        let mut out: Vec<Option<SquatMatch>> = vec![None; events.len()];
-        let chunk = events.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = out
-                .chunks_mut(chunk)
-                .zip(events.chunks(chunk))
-                .map(|(slots, evs)| {
-                    s.spawn(move || {
-                        for (slot, ev) in slots.iter_mut().zip(evs) {
-                            *slot = classify(ev);
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("detect worker panicked");
-            }
-        });
-        out
+        events
+            .iter()
+            .map(|event| {
+                let StreamEvent::Registration { domain, .. } = event else {
+                    return None;
+                };
+                let parsed = DomainName::parse(domain).ok()?;
+                self.detector.classify(&parsed)
+            })
+            .collect()
     }
 
     /// A crawl sweep: new candidates (guaranteed at least half the
@@ -1284,9 +1267,10 @@ impl Runner<'_> {
     }
 
     /// Crawls one sweep batch through retry + circuit-breaker
-    /// middleware over a per-sweep world. Every layer is deterministic
-    /// per host, so worker count never changes the records or the
-    /// transport counters.
+    /// middleware over a per-sweep world, one job after another: the
+    /// retry / breaker ledger folded into the state fingerprint depends
+    /// on the order fetches reach a shared host's breaker, and a sweep is
+    /// at most `crawl_batch` jobs of ~5 µs each.
     fn crawl(
         &mut self,
         jobs: &[(String, usize, SquatType)],
@@ -1312,7 +1296,7 @@ impl Runner<'_> {
             .build();
         let sweep_index = self.state.tick / self.config.crawl_cadence;
         let crawl_cfg = CrawlConfig::builder()
-            .workers(self.config.threads)
+            .workers(1)
             .retries(1)
             .snapshot((sweep_index % 4) as u8)
             .build()

@@ -30,14 +30,15 @@
 use crate::artifact::PageArtifact;
 use crate::checkpoint::CheckpointError;
 use crate::fault::{FaultCounts, PageFault, PipelineFaultPlan};
-use crate::features::FeatureExtractor;
+use crate::features::{FeatureExtractor, ANALYZE_GRAIN};
 use parking_lot::Mutex;
 use squatphi_durability::DiskFaultPlan;
 use squatphi_nlp::SparseVec;
+use squatphi_telemetry::par_map;
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// The four pipeline stages, in execution order.
@@ -647,10 +648,10 @@ impl Supervisor {
         None
     }
 
-    /// The supervised batch executor: parallel analysis (workers pull
-    /// indices from a shared cursor, as in `FeatureExtractor::analyze_batch`)
-    /// followed by sequential embedding — both under per-record
-    /// `catch_unwind`. `None` slots are quarantined records.
+    /// The supervised batch executor: parallel analysis followed by
+    /// sequential embedding — both under per-record `catch_unwind`.
+    /// `None` slots are quarantined records (or, once the stop flag is
+    /// up, records nobody started).
     pub(crate) fn extract_vectors(
         &self,
         stage: PipelineStage,
@@ -658,42 +659,14 @@ impl Supervisor {
         jobs: &[PageJob<'_>],
         threads: usize,
     ) -> Result<Vec<Option<SparseVec>>, PipelineErrorKind> {
-        let threads = threads.max(1).min(jobs.len().max(1));
-        let mut artifacts: Vec<Option<Arc<PageArtifact>>> = vec![None; jobs.len()];
-        if threads <= 1 {
-            for (slot, job) in artifacts.iter_mut().zip(jobs) {
-                if self.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                *slot = self.guarded_analyze(stage, extractor, job);
+        // Nothing unwinds out of the closure: every panic surface is
+        // behind guarded_analyze's catch_unwind.
+        let artifacts = par_map(jobs.len(), threads, ANALYZE_GRAIN, |i| {
+            if self.stop.load(Ordering::SeqCst) {
+                return None;
             }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<Arc<PageArtifact>>>> =
-                (0..jobs.len()).map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|s| {
-                let worker = || loop {
-                    if self.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    *slots[i].lock() = self.guarded_analyze(stage, extractor, &jobs[i]);
-                };
-                let handles: Vec<_> = (0..threads).map(|_| s.spawn(worker)).collect();
-                for h in handles {
-                    // Workers never unwind: every panic surface inside
-                    // them is behind guarded_analyze's catch_unwind.
-                    h.join()
-                        .expect("supervised analysis worker escaped its catch_unwind");
-                }
-            });
-            for (slot, cell) in artifacts.iter_mut().zip(slots) {
-                *slot = cell.into_inner();
-            }
-        }
+            self.guarded_analyze(stage, extractor, &jobs[i])
+        });
         self.check_stopped()?;
 
         // Sequential embedding: deterministic order, still isolated.

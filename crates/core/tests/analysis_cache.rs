@@ -1,17 +1,21 @@
-//! Cache transparency: a pipeline run with the content-addressed
-//! analysis cache enabled must be byte-identical to a run with it
-//! disabled — the cache may only change speed and the hit/miss counters,
-//! never a feature vector, a score bit, a detection, or an image hash.
+//! Cache transparency: the content-addressed analysis cache may only
+//! change speed and the hit/miss counters, never a feature vector, a
+//! score bit, a detection, or an image hash. The pipeline always runs
+//! cached; the reference is [`FeatureExtractor::uncached`] — the full
+//! parse/render/OCR derivation — over every page the run crawled.
 
 use squatphi::evasion;
-use squatphi::pipeline::PipelineResult;
+use squatphi::features::FeatureExtractor;
 use squatphi::{RunOptions, SimConfig, SquatPhi};
 use squatphi_dnsdb::SnapshotConfig;
 use squatphi_feeds::FeedConfig;
-use squatphi_web::WorldConfig;
+use squatphi_ml::Classifier;
+use squatphi_web::{Device, WorldConfig};
+use std::collections::HashMap;
 
-/// Smaller than `SimConfig::tiny()` — this test runs the pipeline twice.
-fn micro(analysis_cache: bool) -> SimConfig {
+/// Smaller than `SimConfig::tiny()` — every crawled page is re-derived
+/// without the cache.
+fn micro() -> SimConfig {
     SimConfig {
         snapshot: SnapshotConfig {
             benign_records: 600,
@@ -32,114 +36,83 @@ fn micro(analysis_cache: bool) -> SimConfig {
         threads: 4,
         sampled_benign: 60,
         cv_folds: 3,
-        analysis_cache,
-        phash_index: true,
         seed: 14,
     }
 }
 
-/// Every observable output of a run, with floats as bit patterns so the
-/// comparison is byte-exact rather than epsilon-close.
-fn fingerprint(r: &PipelineResult) -> Vec<String> {
-    let mut out = Vec::new();
-    out.push(format!(
-        "scan {} matches, {} scanned",
-        r.scan.total_matches(),
-        r.scan.scanned
-    ));
-    out.push(format!("train_split {:?}", r.train_split));
-    for m in &r.eval.models {
-        out.push(format!(
-            "model {} fpr={:016x} fnr={:016x} auc={:016x} acc={:016x}",
-            m.name,
-            m.metrics.fpr.to_bits(),
-            m.metrics.fnr.to_bits(),
-            m.metrics.auc.to_bits(),
-            m.metrics.accuracy.to_bits(),
-        ));
-    }
-    for d in r.web_detections.iter().chain(&r.mobile_detections) {
-        out.push(format!(
-            "det {} brand={} type={} dev={:?} score={:016x} confirmed={}",
-            d.domain,
-            d.brand,
-            d.squat_type,
-            d.device,
-            d.score.to_bits(),
-            d.confirmed,
-        ));
-    }
-    out.push(format!("confirmed {:?}", r.confirmed_domains()));
-    out
-}
-
 #[test]
 fn cache_is_invisible_in_every_pipeline_output() {
-    let with_cache = SquatPhi::try_run(&micro(true), &RunOptions::default())
-        .expect("cache-on pipeline runs clean");
-    let without_cache = SquatPhi::try_run(&micro(false), &RunOptions::default())
-        .expect("cache-off pipeline runs clean");
+    let run = SquatPhi::try_run(&micro(), &RunOptions::default()).expect("pipeline runs clean");
+    let cached = &run.extractor;
+    let uncached = FeatureExtractor::uncached(&run.registry);
 
-    assert_eq!(
-        fingerprint(&with_cache),
-        fingerprint(&without_cache),
-        "cache-on and cache-off runs diverged"
-    );
+    // Every crawled page, both device profiles: feature vector, score
+    // bits and image hash agree between the two derivations.
+    let mut scores: HashMap<(&str, Device), u64> = HashMap::new();
+    for record in &run.crawl {
+        for (device, capture) in [(Device::Web, &record.web), (Device::Mobile, &record.mobile)] {
+            let Some(capture) = capture.as_ref().filter(|c| !c.html.is_empty()) else {
+                continue;
+            };
+            let (a, b) = (
+                cached.extract(&capture.html),
+                uncached.extract(&capture.html),
+            );
+            assert_eq!(a, b, "feature vector diverged for {}", record.domain);
+            let score = run.model.score(&b).to_bits();
+            assert_eq!(run.model.score(&a).to_bits(), score);
+            assert_eq!(
+                cached.analyzer().analyze(&capture.html).image_hash,
+                uncached.analyzer().analyze(&capture.html).image_hash,
+                "image hash diverged for {}",
+                record.domain
+            );
+            scores.insert((&record.domain, device), score);
+        }
+    }
+    assert!(!scores.is_empty(), "the run crawled no live page");
+
+    // Every detection the cached run reported carries exactly the score
+    // the uncached derivation gives its page.
+    let detections = || run.web_detections.iter().chain(&run.mobile_detections);
+    assert!(detections().count() > 0, "the run detected nothing");
+    for d in detections() {
+        assert_eq!(
+            scores.get(&(d.domain.as_str(), d.device)),
+            Some(&d.score.to_bits()),
+            "detection score of {} is not the uncached score",
+            d.domain
+        );
+    }
+
+    // Every feed page (the training side) gets the same feature vector.
+    for e in &run.feed.entries {
+        assert_eq!(
+            cached.extract(&e.html),
+            uncached.extract(&e.html),
+            "feed-page feature vector diverged for {}",
+            e.host
+        );
+    }
 
     // Evasion measurements (the Fig 8/9 and Table 6/11 substrate) agree
     // artifact-for-artifact across both analyzers.
-    let brand = with_cache
-        .registry
-        .brands()
-        .first()
-        .expect("registry non-empty");
-    let brand_page = with_cache
-        .world
-        .brand_page(brand.id)
-        .expect("brand page exists");
-    for e in with_cache.feed.entries.iter().take(20) {
-        let a = evasion::measure(
-            with_cache.extractor.analyzer(),
-            &e.html,
-            brand_page,
-            &brand.label,
-        );
-        let b = evasion::measure(
-            without_cache.extractor.analyzer(),
-            &e.html,
-            brand_page,
-            &brand.label,
-        );
+    let brand = run.registry.brands().first().expect("registry non-empty");
+    let brand_page = run.world.brand_page(brand.id).expect("brand page exists");
+    for e in run.feed.entries.iter().take(20) {
+        let a = evasion::measure(cached.analyzer(), &e.html, brand_page, &brand.label);
+        let b = evasion::measure(uncached.analyzer(), &e.html, brand_page, &brand.label);
         assert_eq!(a, b, "evasion measurement diverged for {}", e.host);
     }
 
-    // Image hashes agree bit-for-bit.
-    for e in with_cache.feed.entries.iter().take(20) {
-        assert_eq!(
-            with_cache.extractor.analyzer().analyze(&e.html).image_hash,
-            without_cache
-                .extractor
-                .analyzer()
-                .analyze(&e.html)
-                .image_hash,
-        );
-    }
-
     // Metrics shape: the cached run reconciles with real hits (the two
-    // device passes share template captures); the uncached run counts
-    // every page as a miss.
-    let on = &with_cache.analysis;
-    let off = &without_cache.analysis;
+    // device passes share template captures); the uncached analyzer
+    // counts every page as a miss.
+    let on = &run.analysis;
+    let off = uncached.analyzer().metrics();
     assert!(on.reconciles() && off.reconciles());
     assert!(on.cache_hits > 0, "cached run never hit");
-    assert_eq!(off.cache_hits, 0, "uncached run claims hits");
+    assert!(on.cache_misses < on.pages, "cache saved no derivations");
+    assert_eq!(off.cache_hits, 0, "uncached analyzer claims hits");
     assert_eq!(off.pages, off.cache_misses);
-    assert_eq!(
-        on.pages, off.pages,
-        "both runs must analyze the same page stream"
-    );
-    assert!(
-        on.cache_misses < off.cache_misses,
-        "cache saved no derivations"
-    );
 }

@@ -109,53 +109,64 @@ fn resume_reproduces_the_uninterrupted_fingerprint_at_any_kill_point() {
 #[test]
 fn backpressure_reconciles_exactly_at_every_thread_count() {
     // Tight queues force both failure modes: ingest drops and detect
-    // stalls. Whatever the thread count, the accounting identities and
-    // the final state must be identical.
-    let mut fingerprints = Vec::new();
-    for threads in [1usize, 4, 8] {
-        let config = WatchConfig::builder()
-            .brands(16)
-            .seed(99)
-            .events(600)
-            .ingest_capacity(4)
-            .candidate_capacity(2)
-            .detect_batch(3)
-            .crawl_cadence(5)
-            .crawl_batch(4)
-            .threads(threads)
-            .checkpoint_every(64)
-            .build()
-            .expect("tight config");
-        let summary = SquatPhi::try_watch(&config, &WatchOptions::default()).expect("tight run");
-        assert!(
-            summary.reconciles(),
-            "threads={threads}: counters do not reconcile: {:?}",
-            summary.counters
-        );
-        assert!(
-            summary.counters.dropped() > 0,
-            "threads={threads}: tight queues produced no drops"
-        );
-        assert!(
-            summary.counters.detect_stalls > 0,
-            "threads={threads}: tight candidate queue produced no stalls"
-        );
-        // Backpressure must never lose events silently: injected events
-        // all land in exactly one counter.
-        assert_eq!(
-            summary.counters.injected,
-            summary.counters.accepted + summary.counters.dropped()
-        );
-        fingerprints.push((summary.state_fingerprint, summary.to_json()));
+    // stalls.
+    let tight = WatchConfig::builder()
+        .brands(16)
+        .seed(99)
+        .events(600)
+        .ingest_capacity(4)
+        .candidate_capacity(2)
+        .detect_batch(3)
+        .crawl_cadence(5)
+        .crawl_batch(4)
+        .checkpoint_every(64);
+    // The default-queue stream on which `state_fingerprint` used to
+    // depend on the thread count: sweeps whose jobs share a host raced
+    // to its circuit breaker.
+    let shared_hosts = WatchConfig::builder().seed(2020).events(10_000);
+
+    // Whatever the thread count, the accounting identities and the final
+    // state must be identical.
+    for (name, builder, tight_queues) in
+        [("tight", tight, true), ("seed-2020", shared_hosts, false)]
+    {
+        let run = |threads: usize| {
+            let config = builder.clone().threads(threads).build().expect("config");
+            let summary = SquatPhi::try_watch(&config, &WatchOptions::default()).expect("run");
+            assert!(
+                summary.reconciles(),
+                "{name} threads={threads}: counters do not reconcile: {:?}",
+                summary.counters
+            );
+            // Backpressure must never lose events silently: injected
+            // events all land in exactly one counter.
+            assert_eq!(
+                summary.counters.injected,
+                summary.counters.accepted + summary.counters.dropped()
+            );
+            if tight_queues {
+                assert!(
+                    summary.counters.dropped() > 0,
+                    "{name} threads={threads}: tight queues produced no drops"
+                );
+                assert!(
+                    summary.counters.detect_stalls > 0,
+                    "{name} threads={threads}: tight candidate queue produced no stalls"
+                );
+            }
+            (summary.state_fingerprint, summary.to_json())
+        };
+        let single = run(1);
+        // Ten runs at 4 threads, so a race cannot hide behind one lucky
+        // schedule.
+        for threads in [2, 8].into_iter().chain([4; 10]) {
+            assert_eq!(
+                run(threads),
+                single,
+                "{name}: 1 vs {threads} threads changed the run"
+            );
+        }
     }
-    assert_eq!(
-        fingerprints[0], fingerprints[1],
-        "1 vs 4 threads changed the run"
-    );
-    assert_eq!(
-        fingerprints[1], fingerprints[2],
-        "4 vs 8 threads changed the run"
-    );
 }
 
 #[test]

@@ -8,10 +8,10 @@ use squatphi_domain::url::host_of;
 use squatphi_html::parse;
 use squatphi_render::{render_page, Bitmap, RenderOptions};
 use squatphi_squat::{BrandId, BrandRegistry, SquatType};
+use squatphi_telemetry::par_map;
 use squatphi_web::world::MARKETPLACES;
 use squatphi_web::{Device, ServeResult};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -41,7 +41,8 @@ impl CrawlConfig {
         CrawlConfigBuilder::default()
     }
 
-    /// Worker threads.
+    /// Upper bound on crawl worker threads; a batch uses one per 32 jobs
+    /// it holds, so small batches run on the caller alone.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -95,7 +96,7 @@ impl Default for CrawlConfigBuilder {
 }
 
 impl CrawlConfigBuilder {
-    /// Worker threads (must be >= 1).
+    /// Upper bound on worker threads (must be >= 1).
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n;
         self
@@ -255,11 +256,11 @@ impl CrawlRecord {
     }
 }
 
-/// Crawls every `(domain, brand, type)` job with a worker pool over the
-/// transport. Returns records in input order plus aggregate stats; if
-/// the transport exposes [`TransportMetrics`] (middleware stacks do),
-/// the engine records into the same counters and the combined snapshot
-/// lands on [`CrawlStats::transport`].
+/// Crawls every `(domain, brand, type)` job over the transport, on up to
+/// `config.workers()` threads. Returns records in input order plus
+/// aggregate stats; if the transport exposes [`TransportMetrics`]
+/// (middleware stacks do), the engine records into the same counters and
+/// the combined snapshot lands on [`CrawlStats::transport`].
 pub fn crawl_all(
     jobs: &[(String, BrandId, SquatType)],
     registry: &BrandRegistry,
@@ -276,67 +277,35 @@ pub fn crawl_all(
         .metrics()
         .unwrap_or_else(|| Arc::new(TransportMetrics::new()));
 
-    let workers = config.workers.max(1);
-    let cursor = AtomicUsize::new(0);
-
-    let records: Vec<CrawlRecord> = std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for _ in 0..workers {
-            handles.push(s.spawn(|| {
-                let mut out = Vec::new();
-                loop {
-                    // Relaxed: the cursor only hands out indices; joining
-                    // the worker publishes its records.
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some((domain, brand, squat_type)) = jobs.get(i) else {
-                        break;
-                    };
-                    let (web, web_redirect) = fetch_one(
-                        transport,
-                        domain,
-                        Device::Web,
-                        config,
-                        brand_domains.get(brand).map(String::as_str),
-                        &markets,
-                        &metrics,
-                    );
-                    let (mobile, mobile_redirect) = fetch_one(
-                        transport,
-                        domain,
-                        Device::Mobile,
-                        config,
-                        brand_domains.get(brand).map(String::as_str),
-                        &markets,
-                        &metrics,
-                    );
-                    out.push((
-                        i,
-                        CrawlRecord {
-                            domain: domain.clone(),
-                            brand: *brand,
-                            squat_type: *squat_type,
-                            web,
-                            mobile,
-                            web_redirect,
-                            mobile_redirect,
-                        },
-                    ));
-                }
-                out
-            }));
+    // One job is ~5 µs in process (`crawler.stack_domains_per_s`) against
+    // ~50 µs to spawn a thread: a worker needs tens of jobs to pay for
+    // itself, so a watch-sized batch stays on the caller.
+    const CRAWL_GRAIN: usize = 32;
+    let records = par_map(jobs.len(), config.workers, CRAWL_GRAIN, |i| {
+        let (domain, brand, squat_type) = &jobs[i];
+        let brand_domain = brand_domains.get(brand).map(String::as_str);
+        let fetch = |device| {
+            fetch_one(
+                transport,
+                domain,
+                device,
+                config,
+                brand_domain,
+                &markets,
+                &metrics,
+            )
+        };
+        let (web, web_redirect) = fetch(Device::Web);
+        let (mobile, mobile_redirect) = fetch(Device::Mobile);
+        CrawlRecord {
+            domain: domain.clone(),
+            brand: *brand,
+            squat_type: *squat_type,
+            web,
+            mobile,
+            web_redirect,
+            mobile_redirect,
         }
-        let mut indexed: Vec<(usize, CrawlRecord)> = handles
-            .into_iter()
-            .flat_map(|h| {
-                // A worker panic means a bug below the transport seam
-                // (the crawl loop itself never panics on fetch errors);
-                // surfacing it beats silently dropping its records.
-                h.join()
-                    .expect("crawl worker panicked; its records are lost")
-            })
-            .collect();
-        indexed.sort_by_key(|(i, _)| *i);
-        indexed.into_iter().map(|(_, r)| r).collect()
     });
 
     let mut stats = CrawlStats::from_records(&records);
@@ -607,9 +576,10 @@ mod tests {
 
     #[test]
     fn single_threaded_matches_parallel() {
-        let (jobs, registry, transport) = setup(5, 10, 3, 4);
-        // All 50 jobs, then fewer jobs than workers, then none at all.
-        for jobs in [&jobs[..], &jobs[..3], &jobs[..0]] {
+        let (jobs, registry, transport) = setup(20, 10, 3, 4);
+        // 200 jobs fan out (six runs of CRAWL_GRAIN); 50, fewer jobs than
+        // workers and none at all stay on the caller.
+        for jobs in [&jobs[..], &jobs[..50], &jobs[..3], &jobs[..0]] {
             let (a, _) = crawl_all(jobs, &registry, &transport, &workers(1));
             assert_eq!(a.len(), jobs.len());
             for (record, job) in a.iter().zip(jobs) {

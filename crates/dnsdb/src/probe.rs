@@ -9,14 +9,14 @@
 //!
 //! Everything here is blocking `std::net`: the server is one thread on a
 //! `UdpSocket`, stopped by a flag plus a wake-up datagram and joined by
-//! [`AuthServer::shutdown`]; the prober is a fixed set of scoped worker
-//! threads sharing a cursor over the domain list, each probe on its own
-//! socket with a read timeout.
+//! [`AuthServer::shutdown`]; the prober is a `par_map` over the domain
+//! list, each probe on its own socket with a read timeout.
 
 use squatphi_dnswire::{Message, RData, Rcode, RecordType, ResourceRecord};
+use squatphi_telemetry::par_map;
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -125,48 +125,23 @@ impl Default for ProberConfig {
 /// Probes `domains` against the authoritative server at `server`.
 /// Returns one result per input domain, order-preserving. At most
 /// `config.concurrency` queries are in flight: that many workers (fewer
-/// when there are fewer domains) each probe one domain at a time.
+/// when there are fewer domains) each probe one domain at a time. The
+/// first domain (in input order) whose socket fails is the error; the
+/// remaining domains are still probed before it is returned.
 pub fn probe_all(
     server: SocketAddr,
     domains: &[String],
     config: &ProberConfig,
 ) -> std::io::Result<Vec<ProbeResult>> {
-    let workers = config.concurrency.max(1).min(domains.len());
-    let cursor = AtomicUsize::new(0);
-    let per_worker: Vec<std::io::Result<Vec<(usize, ProbeResult)>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| s.spawn(|| probe_worker(server, domains, &cursor, config)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("probe worker panicked"))
-            .collect()
-    });
-    let mut indexed = Vec::with_capacity(domains.len());
-    for done in per_worker {
-        indexed.extend(done?);
-    }
-    indexed.sort_unstable_by_key(|&(i, _)| i);
-    Ok(indexed.into_iter().map(|(_, r)| r).collect())
-}
-
-/// One prober worker: one query in flight at a time, taking the next
-/// unclaimed domain until the list runs out.
-fn probe_worker(
-    server: SocketAddr,
-    domains: &[String],
-    cursor: &AtomicUsize,
-    config: &ProberConfig,
-) -> std::io::Result<Vec<(usize, ProbeResult)>> {
-    let mut done = Vec::new();
-    loop {
-        // Relaxed: the cursor only hands out indices; the scope's join
-        // publishes each worker's results.
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(domain) = domains.get(i) else { break };
-        done.push((i, probe_one(server, domain, i as u16, config)?));
-    }
-    Ok(done)
+    // A probe is a UDP round trip the worker sleeps through (tens of µs
+    // on loopback, milliseconds on a network), so one domain already
+    // pays for the ~50 µs spawn that overlaps it with another.
+    const PROBE_GRAIN: usize = 1;
+    par_map(domains.len(), config.concurrency, PROBE_GRAIN, |i| {
+        probe_one(server, &domains[i], i as u16, config)
+    })
+    .into_iter()
+    .collect()
 }
 
 fn probe_one(

@@ -4,13 +4,17 @@
 //!
 //! Workers do not own fixed contiguous chunks. The store is cut into
 //! small **blocks** and every worker pulls the next unclaimed block index
-//! from a shared atomic cursor (the `FeatureExtractor::analyze_batch`
-//! pattern), so a run of expensive records on one thread never stalls the
-//! others and the work stays balanced regardless of how matches cluster
-//! in the snapshot. The block size adapts to the input: at least four
+//! from a shared atomic cursor, so a run of expensive records on one
+//! thread never stalls the others and the work stays balanced regardless
+//! of how matches cluster in the snapshot. The block size adapts to the input: at least four
 //! blocks per requested worker (so tiny stores still fan out — the old
 //! `div_ceil` chunking spawned 5 workers for 9 records × 8 threads),
 //! capped at [`MAX_BLOCK`] records so huge stores rebalance often.
+//!
+//! This is the one fan-out that does not run on
+//! [`squatphi_telemetry::par_map`]: its per-worker [`WorkerMetrics`] are
+//! part of the scan checkpoint format and `scan.exec.*`, and it stops
+//! claiming blocks once any shard has failed (see DESIGN.md, Parallelism).
 //!
 //! # Determinism
 //!

@@ -39,7 +39,7 @@ pub fn run_experiment(id: &str, result: &PipelineResult) -> Option<String> {
         "fig6" => fig6(result),
         "fig7" => fig7(result),
         "table5" => table5(result),
-        "fig8" => fig8(result.phash_index),
+        "fig8" => fig8(),
         "fig9" => fig9(result),
         "table6" => table6(result),
         "table7" => table7(result),
@@ -446,7 +446,7 @@ fn table5(result: &PipelineResult) -> String {
 
 /// Figure 8: layout-obfuscation example — image-hash distances of
 /// increasingly obfuscated paypal phishing pages (paper: 7 / 24 / 38).
-fn fig8(indexed: bool) -> String {
+fn fig8() -> String {
     let registry = BrandRegistry::with_size(10);
     let brand = registry.by_label("paypal").expect("paypal");
     let original = pages::brand_login_page(brand);
@@ -470,7 +470,7 @@ fn fig8(indexed: bool) -> String {
         })
         .collect();
     let points: Vec<(String, String)> =
-        squatphi::evasion::layout_distances(&variant_hashes, orig_hash, indexed)
+        squatphi::evasion::layout_distances(&variant_hashes, orig_hash)
             .into_iter()
             .enumerate()
             .map(|(intensity, d)| (format!("intensity {intensity}"), d.to_string()))
@@ -504,11 +504,10 @@ fn fig9(result: &PipelineResult) -> String {
             .take(60)
             .map(|e| analyzer.analyze(&e.html).image_hash)
             .collect();
-        let ds: Vec<f64> =
-            squatphi::evasion::layout_distances(&page_hashes, bh, result.phash_index)
-                .into_iter()
-                .map(f64::from)
-                .collect();
+        let ds: Vec<f64> = squatphi::evasion::layout_distances(&page_hashes, bh)
+            .into_iter()
+            .map(f64::from)
+            .collect();
         if ds.is_empty() {
             continue;
         }
@@ -551,7 +550,6 @@ fn table6(result: &PipelineResult) -> String {
             artifacts.iter().map(|a| a.as_ref()),
             &brand_artifact,
             label,
-            result.phash_index,
         );
         if ms.is_empty() {
             continue;
@@ -970,7 +968,6 @@ fn table11(result: &PipelineResult) -> String {
                 artifacts.iter().map(|a| a.as_ref()),
                 &brand_artifact,
                 &brand.label,
-                result.phash_index,
             ));
         }
         ms
@@ -1127,8 +1124,7 @@ mod tests {
 
     #[test]
     fn fig8_distances_monotone_overall() {
-        let out = fig8(true);
-        assert_eq!(out, fig8(false), "index-on and linear fig8 diverged");
+        let out = fig8();
         // Parse the distances back out.
         let ds: Vec<u32> = out
             .lines()

@@ -1,19 +1,22 @@
-//! Index transparency for the paper experiments: the pHash NN index is a
-//! pure speedup, so every visual-similarity experiment (Fig 8/9, Tables
-//! 6/11) must print byte-identical reports with `phash_index` on and off,
-//! and two identical index-on runs must agree with each other. Mirrors
-//! the `analysis_cache` transparency gate in `crates/core/tests/`.
+//! The visual-similarity experiments (Fig 8/9, Tables 6/11) measure
+//! layout distance with `evasion::layout_distances`, a plain Hamming map.
+//! Its reference is the preserved `imghash::index::linear` oracle at
+//! radius 64 (the whole cube) over the run's own pages, and two identical
+//! runs must print byte-identical reports. Mirrors the analysis-cache
+//! transparency gate in `crates/core/tests/`.
 
+use squatphi::evasion::layout_distances;
 use squatphi::pipeline::PipelineResult;
 use squatphi::{RunOptions, SimConfig, SquatPhi};
 use squatphi_dnsdb::SnapshotConfig;
 use squatphi_experiments::experiments::run_experiment;
 use squatphi_feeds::FeedConfig;
+use squatphi_imghash::index::linear;
 use squatphi_web::WorldConfig;
 
-/// Smaller than `SimConfig::tiny()` — this test runs the pipeline three
-/// times (index-on twice for determinism, index-off once for parity).
-fn micro(phash_index: bool) -> SimConfig {
+/// Smaller than `SimConfig::tiny()` — this file runs the pipeline three
+/// times.
+fn micro() -> SimConfig {
     SimConfig {
         snapshot: SnapshotConfig {
             benign_records: 500,
@@ -34,13 +37,11 @@ fn micro(phash_index: bool) -> SimConfig {
         threads: 4,
         sampled_benign: 50,
         cv_folds: 3,
-        analysis_cache: true,
-        phash_index,
         seed: 24,
     }
 }
 
-/// The experiments whose lookups route through the index.
+/// The experiments built on layout distances.
 const VISUAL_EXPERIMENTS: &[&str] = &["fig8", "fig9", "table6", "table11"];
 
 fn reports(result: &PipelineResult) -> Vec<(String, String)> {
@@ -56,24 +57,46 @@ fn reports(result: &PipelineResult) -> Vec<(String, String)> {
 }
 
 #[test]
-fn visual_experiments_identical_with_index_on_and_off() {
-    let on = SquatPhi::try_run(&micro(true), &RunOptions::default())
-        .expect("index-on pipeline runs clean");
-    let off = SquatPhi::try_run(&micro(false), &RunOptions::default())
-        .expect("index-off pipeline runs clean");
-    for ((id, a), (_, b)) in reports(&on).into_iter().zip(reports(&off)) {
-        assert_eq!(a, b, "experiment {id} diverged between index and linear");
-        assert!(!a.is_empty(), "experiment {id} printed nothing");
+fn layout_distances_match_the_linear_oracle_on_the_runs_pages() {
+    let run = SquatPhi::try_run(&micro(), &RunOptions::default()).expect("pipeline runs clean");
+    let analyzer = run.extractor.analyzer();
+    let page_hashes: Vec<_> = run
+        .feed
+        .entries
+        .iter()
+        .map(|e| analyzer.analyze(&e.html).image_hash)
+        .collect();
+    assert!(!page_hashes.is_empty(), "the feed has no pages");
+    // Each brand page against the whole feed: Fig 9's and Table 6/11's
+    // comparisons are subsets of these.
+    for brand in run.registry.brands() {
+        let Some(brand_page) = run.world.brand_page(brand.id) else {
+            continue;
+        };
+        let brand_hash = analyzer.analyze(brand_page).image_hash;
+        let oracle: Vec<u32> = linear::within(&page_hashes, &brand_hash, 64)
+            .into_iter()
+            .map(|n| n.distance)
+            .collect();
+        assert_eq!(
+            layout_distances(&page_hashes, brand_hash),
+            oracle,
+            "layout distances to {} diverged from the linear oracle",
+            brand.label
+        );
+    }
+    for (id, report) in reports(&run) {
+        assert!(!report.is_empty(), "experiment {id} printed nothing");
     }
 }
 
 #[test]
 fn visual_experiments_are_two_run_deterministic() {
-    let a = SquatPhi::try_run(&micro(true), &RunOptions::default()).expect("first run");
-    let b = SquatPhi::try_run(&micro(true), &RunOptions::default()).expect("second run");
+    let a = SquatPhi::try_run(&micro(), &RunOptions::default()).expect("first run");
+    let b = SquatPhi::try_run(&micro(), &RunOptions::default()).expect("second run");
     assert_eq!(
         reports(&a),
         reports(&b),
-        "identical index-on runs printed different reports"
+        "identical runs printed different reports"
     );
 }

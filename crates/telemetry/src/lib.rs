@@ -17,6 +17,9 @@
 //!   are zeroed by [`Snapshot::strip_timings`] unless the user asked for
 //!   timing output, which is what keeps default `--json` two-run
 //!   byte-identical and thread-count invariant.
+//! * [`par_map`] — the one ordered parallel map every fan-out outside
+//!   `dnsdb::scan` runs on (this is the only dependency-free crate the
+//!   fanning-out crates share).
 //!
 //! The legacy structs (`ClassifyStats`, `ScanMetrics`, `CrawlStats`,
 //! `TransportSnapshot`, `AnalysisSnapshot`, `SupervisionReport`,
@@ -26,10 +29,12 @@
 mod invariant;
 pub mod invariants;
 mod json;
+mod par;
 mod registry;
 mod snapshot;
 
 pub use invariant::{Invariant, InvariantSet, Term, Violation};
 pub use json::{escape, fmt_f64, Json};
+pub use par::par_map;
 pub use registry::{Counter, Histogram, Registry, Scope, Span};
 pub use snapshot::{is_timing_name, Snapshot, Value};
