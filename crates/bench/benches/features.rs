@@ -2,10 +2,9 @@
 //! (cache disabled — every page runs parse/render/OCR) vs warm (the
 //! content-addressed cache pre-populated, so extraction is hash probe +
 //! embed). The workload is template-heavy like a real squatting
-//! population: many captures, few distinct page bodies. The committed
-//! `BENCH_features.json` (written by
-//! `cargo run --release --bin features_baseline`) records the same
-//! workload so regressions show up as a diff.
+//! population: many captures, few distinct page bodies. (Sixteen pages
+//! time little more than the clock; the measured numbers for this path
+//! are `sysbench`'s `page_audit` workload.)
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use squatphi::FeatureExtractor;

@@ -112,18 +112,16 @@ struct CacheEntry {
 
 /// Content-addressed artifact cache, sharded for concurrent access.
 ///
-/// Hits are verified against the stored HTML, so a 64-bit key collision
-/// degrades to a counted miss instead of serving the wrong artifact —
-/// cache-on and cache-off runs are byte-identical by construction.
+/// [`content_key`] is an un-finalised FxHash, and pages that differ only
+/// in a digit or two collide far more often than 2⁻⁶⁴, so a key maps to a
+/// small chain of entries and a hit is whichever entry's stored HTML
+/// equals the request's. A collision costs one more comparison, is
+/// counted once (when the second page joins the chain) and never serves
+/// the wrong artifact or evicts the right one — cache-on and cache-off
+/// runs are byte-identical by construction.
 pub struct AnalysisCache {
     seed: u64,
-    shards: Vec<Mutex<HashMap<u64, CacheEntry>>>,
-}
-
-enum Lookup {
-    Hit(Arc<PageArtifact>),
-    Collision,
-    Miss,
+    shards: Vec<Mutex<HashMap<u64, Vec<CacheEntry>>>>,
 }
 
 impl AnalysisCache {
@@ -137,31 +135,38 @@ impl AnalysisCache {
         }
     }
 
-    fn shard(&self, key: u64) -> &Mutex<HashMap<u64, CacheEntry>> {
+    fn shard(&self, key: u64) -> &Mutex<HashMap<u64, Vec<CacheEntry>>> {
         &self.shards[(key as usize) & (self.shards.len() - 1)]
     }
 
-    fn lookup(&self, key: u64, html: &str) -> Lookup {
-        match self.shard(key).lock().get(&key) {
-            Some(e) if &*e.html == html => Lookup::Hit(e.artifact.clone()),
-            Some(_) => Lookup::Collision,
-            None => Lookup::Miss,
-        }
+    fn lookup(&self, key: u64, html: &str) -> Option<Arc<PageArtifact>> {
+        let shard = self.shard(key).lock();
+        let entry = shard.get(&key)?.iter().find(|e| &*e.html == html)?;
+        Some(entry.artifact.clone())
     }
 
-    fn insert(&self, key: u64, html: &str, artifact: Arc<PageArtifact>) {
-        self.shard(key).lock().insert(
-            key,
-            CacheEntry {
-                html: html.into(),
-                artifact,
-            },
-        );
+    /// Stores a page's artifact; true when `key` already held a
+    /// *different* page (a content-key collision). A page another worker
+    /// stored in the meantime is left as it is.
+    fn insert(&self, key: u64, html: &str, artifact: Arc<PageArtifact>) -> bool {
+        let mut shard = self.shard(key).lock();
+        let chain = shard.entry(key).or_insert_with(|| Vec::with_capacity(1));
+        if chain.iter().any(|e| &*e.html == html) {
+            return false;
+        }
+        chain.push(CacheEntry {
+            html: html.into(),
+            artifact,
+        });
+        chain.len() > 1
     }
 
     /// Number of cached artifacts across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.lock().values().map(Vec::len).sum::<usize>())
+            .sum()
     }
 
     /// True when nothing is cached yet.
@@ -223,8 +228,8 @@ pub struct AnalysisSnapshot {
     pub cache_hits: u64,
     /// Requests that ran the full derivation.
     pub cache_misses: u64,
-    /// Content-key collisions detected by the HTML verify (counted
-    /// inside `cache_misses`).
+    /// Distinct pages that joined a cache key another page already held
+    /// (each is also one of the `cache_misses`).
     pub key_collisions: u64,
     /// Nanoseconds spent parsing HTML.
     pub parse_nanos: u64,
@@ -399,21 +404,16 @@ impl PageAnalyzer {
             return Arc::new(self.derive(content_key(DEFAULT_CACHE_SEED, html.as_bytes()), html));
         };
         let key = content_key(cache.seed, html.as_bytes());
-        match cache.lookup(key, html) {
-            Lookup::Hit(artifact) => {
-                self.metrics.hits.inc();
-                artifact
-            }
-            found => {
-                if matches!(found, Lookup::Collision) {
-                    self.metrics.collisions.inc();
-                }
-                self.metrics.misses.inc();
-                let artifact = Arc::new(self.derive(key, html));
-                cache.insert(key, html, artifact.clone());
-                artifact
-            }
+        if let Some(artifact) = cache.lookup(key, html) {
+            self.metrics.hits.inc();
+            return artifact;
         }
+        self.metrics.misses.inc();
+        let artifact = Arc::new(self.derive(key, html));
+        if cache.insert(key, html, artifact.clone()) {
+            self.metrics.collisions.inc();
+        }
+        artifact
     }
 
     /// Analyzes one page with the visual derivation forcibly disabled —
@@ -762,6 +762,46 @@ mod tests {
         assert!(distinct.len() > 1, "corpus degenerated to one page");
         assert_eq!(m.cache_misses, distinct.len() as u64);
         assert_eq!(analyzer.cached_artifacts(), distinct.len());
+        assert!(m.reconciles());
+    }
+
+    /// Top-8 pages #13 and #98 of the seed-7, 1,000-URL ground-truth
+    /// feed. They differ in the top byte of one 8-byte word and the low
+    /// byte of the next; `content_key` only carries a top-byte difference
+    /// into the top 5 bits, `rotate_left(5)` lands those on the next
+    /// word's low byte, and `13` / `98` cancel there.
+    fn colliding_pages() -> [String; 2] {
+        ["13", "98"].map(|n| {
+            format!(
+                "<html><head><title>local sports club</title></head><body>\
+                 <h2>local sports club</h2><p>welcome to login-updatepa{n}.web.example \
+                 a small blog about local sports club</p><p>updated weekly by volunteers</p>\
+                 <a href=\"/archive\">archive</a></body></html>"
+            )
+        })
+    }
+
+    #[test]
+    fn colliding_pages_are_both_cached() {
+        let [a, b] = colliding_pages();
+        assert_eq!(
+            content_key(DEFAULT_CACHE_SEED, a.as_bytes()),
+            content_key(DEFAULT_CACHE_SEED, b.as_bytes()),
+            "the pinned pages no longer collide; find another pair"
+        );
+        let cached = PageAnalyzer::new();
+        let uncached = PageAnalyzer::uncached();
+        // Two walks: with one entry per key the pages evicted each other
+        // and the second walk missed twice more.
+        for _ in 0..2 {
+            for page in [&a, &b] {
+                assert_eq!(*cached.analyze(page), *uncached.analyze(page));
+            }
+        }
+        let m = cached.metrics();
+        assert_eq!((m.cache_misses, m.cache_hits), (2, 2), "misses == distinct");
+        assert_eq!(m.key_collisions, 1, "counted once, at the second insert");
+        assert_eq!(cached.cached_artifacts(), 2);
         assert!(m.reconciles());
     }
 

@@ -27,9 +27,11 @@ use squatphi_telemetry::par_map;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// `par_map` grain of page analysis: a cache miss (parse → render → OCR)
-/// costs ~0.9 ms against ~50 µs to spawn a thread, so one page already
-/// pays for a worker.
+/// `par_map` grain of page analysis: a cache miss (parse → render → pHash
+/// → OCR) costs ~180 µs (`artifact.analyze_miss_us`) against 20–50 µs to
+/// spawn and join a thread, so one page still pays for a worker. A new
+/// worker's cold start only breaks even from ~16 pages up, but every
+/// caller hands over hundreds (measurements in DESIGN.md §5).
 pub(crate) const ANALYZE_GRAIN: usize = 1;
 
 /// Keywords beyond the spell-check dictionary that frequently appear in
@@ -157,16 +159,16 @@ impl FeatureExtractor {
         let started = Instant::now();
         let mut v = SparseVec::new();
 
-        // Lexical features from HTML text.
-        self.embed_tokens(&a.lexical_tokens, &mut v);
-
-        // Form features.
-        self.embed_tokens(&a.form_tokens, &mut v);
+        // Lexical features from HTML text, then form features.
+        for t in a.lexical_tokens.iter().chain(&a.form_tokens) {
+            self.embed_token(t, &mut v);
+        }
 
         // OCR features from the rendered screenshot, spell-corrected
         // against this extractor's brand dictionary.
-        let ocr_tokens = self.spell.correct_all(&a.ocr_tokens);
-        self.embed_tokens(&ocr_tokens, &mut v);
+        for t in &a.ocr_tokens {
+            self.embed_token(self.spell.correct(t), &mut v);
+        }
 
         // Numeric features.
         let numeric = [
@@ -191,11 +193,9 @@ impl FeatureExtractor {
         v
     }
 
-    fn embed_tokens(&self, tokens: &[String], v: &mut SparseVec) {
-        for t in tokens {
-            if let Some(i) = self.space.keyword(t) {
-                v.add(i, 1.0);
-            }
+    fn embed_token(&self, token: &str, v: &mut SparseVec) {
+        if let Some(i) = self.space.keyword(token) {
+            v.add(i, 1.0);
         }
     }
 

@@ -16,6 +16,7 @@
 pub mod index;
 
 use squatphi_render::Bitmap;
+use std::sync::OnceLock;
 
 /// A 64-bit perceptual hash.
 ///
@@ -86,50 +87,63 @@ pub fn difference_hash(bmp: &Bitmap) -> ImageHash {
     ImageHash(bits)
 }
 
-/// 2-D DCT-II of an n×n matrix (naive O(n³), fine for n = 32).
-fn dct2d(input: &[f64], n: usize) -> Vec<f64> {
-    // Separable: rows then columns.
-    let mut rows = vec![0.0; n * n];
-    for y in 0..n {
-        for u in 0..n {
-            let mut sum = 0.0;
-            for x in 0..n {
-                sum += input[y * n + x]
-                    * ((std::f64::consts::PI / n as f64) * (x as f64 + 0.5) * u as f64).cos();
+/// Side of the resampled thumbnail the DCT runs over.
+const N: usize = 32;
+/// Side of the low-frequency corner the hash keeps.
+const K: usize = 8;
+
+/// `cos(π/N · (x + ½) · u)` for `u < K`, `x < N`: the only DCT-II basis
+/// values the hash reads. Filled once, with the expression the full
+/// transform evaluates per term, so every product is the same `f64`.
+fn cos_table() -> &'static [[f64; N]; K] {
+    static TABLE: OnceLock<[[f64; N]; K]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table = [[0.0; N]; K];
+        for (u, row) in table.iter_mut().enumerate() {
+            for (x, c) in row.iter_mut().enumerate() {
+                *c = ((std::f64::consts::PI / N as f64) * (x as f64 + 0.5) * u as f64).cos();
             }
-            rows[y * n + u] = sum;
         }
-    }
-    let mut out = vec![0.0; n * n];
-    for u in 0..n {
-        for v in 0..n {
-            let mut sum = 0.0;
-            for y in 0..n {
-                sum += rows[y * n + u]
-                    * ((std::f64::consts::PI / n as f64) * (y as f64 + 0.5) * v as f64).cos();
-            }
-            out[v * n + u] = sum;
-        }
-    }
-    out
+        table
+    })
 }
 
 /// 32×32 DCT perceptual hash. Robust to small translations/rescaling;
 /// the paper's distances (7 / 24 / 38 for increasingly obfuscated pages)
 /// are produced by this family of hashes.
+///
+/// Only the `u, v < 8` corner of the separable DCT-II is computed — rows,
+/// then columns, each sum in ascending index order with a separate
+/// multiply and add — so the 64 coefficients are bit-for-bit those of the
+/// full naive transform (kept as the oracle in
+/// `crates/core/tests/analysis_kernels.rs`).
 pub fn perceptual_hash(bmp: &Bitmap) -> ImageHash {
-    const N: usize = 32;
     let small = bmp.resample(N, N);
-    let input: Vec<f64> = small.pixels().iter().map(|&p| p as f64).collect();
-    let coeffs = dct2d(&input, N);
-    // Top-left 8×8 block, skipping the DC coefficient for the median.
-    let mut block = [0.0f64; 64];
-    for y in 0..8 {
-        for x in 0..8 {
-            block[y * 8 + x] = coeffs[y * N + x];
+    let cos = cos_table();
+    let mut rows = [[0.0f64; K]; N];
+    for (line, row) in small.pixels().chunks_exact(N).zip(&mut rows) {
+        for (basis, out) in cos.iter().zip(row) {
+            let mut sum = 0.0;
+            for (&p, &c) in line.iter().zip(basis) {
+                sum += p as f64 * c;
+            }
+            *out = sum;
         }
     }
-    let mut sorted: Vec<f64> = block[1..].to_vec();
+    // block[v * K + u]; the DC coefficient (index 0) is skipped for the
+    // median.
+    let mut block = [0.0f64; K * K];
+    for (v, basis) in cos.iter().enumerate() {
+        for u in 0..K {
+            let mut sum = 0.0;
+            for (row, &c) in rows.iter().zip(basis) {
+                sum += row[u] * c;
+            }
+            block[v * K + u] = sum;
+        }
+    }
+    let mut sorted = [0.0f64; K * K - 1];
+    sorted.copy_from_slice(&block[1..]);
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite DCT coefficients"));
     let median = sorted[sorted.len() / 2];
     let mut bits = 0u64;

@@ -72,11 +72,47 @@ pub const BASE_DICTIONARY: &[&str] = &[
 /// Edit-distance-≤2 spell checker over a fixed dictionary with
 /// frequency-free nearest-match semantics (ties break to the shorter,
 /// then lexicographically smaller word — deterministic).
+///
+/// Lookup goes through a deletion-neighbourhood index: two strings within
+/// edit distance `d` share a variant reachable from each by deleting at
+/// most `d` bytes, so the dictionary words that can be within a token's
+/// budget are exactly those sharing a fingerprint with one of the token's
+/// own deletion variants. Fingerprints may collide — every candidate is
+/// verified by [`bounded_levenshtein`] — so the answer is the one a scan
+/// of the whole dictionary gives.
 #[derive(Debug, Clone)]
 pub struct SpellChecker {
     words: Vec<String>,
     exact: HashMap<String, usize>,
     max_distance: usize,
+    /// `(fingerprint, word id)` for every word with up to `max_distance`
+    /// bytes deleted, sorted.
+    index: Vec<(u64, u32)>,
+    max_word_len: usize,
+}
+
+/// Calls `f` with a fingerprint of `word` and of every variant of it with
+/// one byte deleted, or one or two when `max` is 2.
+fn deletion_fingerprints(word: &[u8], max: usize, mut f: impl FnMut(u64)) {
+    let n = word.len();
+    // A polynomial hash of the kept bytes (odd golden-ratio base, as in
+    // `squat::index`); index `n` is past the end: "skip nothing".
+    let fingerprint = |skip: [usize; 2]| {
+        let kept = word.iter().enumerate().filter(|(i, _)| !skip.contains(i));
+        kept.fold(0u64, |h, (_, &b)| {
+            h.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(u64::from(b) + 1)
+        })
+    };
+    f(fingerprint([n, n]));
+    for i in 0..n {
+        f(fingerprint([i, n]));
+        if max >= 2 {
+            for j in i + 1..n {
+                f(fingerprint([i, j]));
+            }
+        }
+    }
 }
 
 impl SpellChecker {
@@ -101,10 +137,19 @@ impl SpellChecker {
             .enumerate()
             .map(|(i, w)| (w.clone(), i))
             .collect();
+        let max_distance = 2;
+        let mut index = Vec::new();
+        for (id, w) in words.iter().enumerate() {
+            deletion_fingerprints(w.as_bytes(), max_distance, |fp| index.push((fp, id as u32)));
+        }
+        index.sort_unstable();
+        index.dedup();
         SpellChecker {
+            max_word_len: words.iter().map(String::len).max().unwrap_or(0),
             words,
             exact,
-            max_distance: 2,
+            max_distance,
+            index,
         }
     }
 
@@ -136,29 +181,28 @@ impl SpellChecker {
         } else {
             self.max_distance
         };
+        if word.len() > self.max_word_len + budget {
+            return word;
+        }
         let mut best: Option<(&str, usize)> = None;
-        for w in &self.words {
-            // Cheap length gate.
-            if w.len().abs_diff(word.len()) > budget {
-                continue;
-            }
-            let d = bounded_levenshtein(word, w, budget);
-            if let Some(d) = d {
-                let better = match best {
-                    None => true,
-                    Some((bw, bd)) => d < bd || (d == bd && (w.len(), w.as_str()) < (bw.len(), bw)),
-                };
-                if better {
-                    best = Some((w, d));
+        deletion_fingerprints(word.as_bytes(), budget, |fp| {
+            let start = self.index.partition_point(|e| e.0 < fp);
+            for &(_, id) in self.index[start..].iter().take_while(|e| e.0 == fp) {
+                let w = &self.words[id as usize];
+                if let Some(d) = bounded_levenshtein(word, w, budget) {
+                    let better = match best {
+                        None => true,
+                        Some((bw, bd)) => {
+                            d < bd || (d == bd && (w.len(), w.as_str()) < (bw.len(), bw))
+                        }
+                    };
+                    if better {
+                        best = Some((w, d));
+                    }
                 }
             }
-        }
+        });
         best.map(|(w, _)| w).unwrap_or(word)
-    }
-
-    /// Corrects a whole token stream in place.
-    pub fn correct_all(&self, tokens: &[String]) -> Vec<String> {
-        tokens.iter().map(|t| self.correct(t).to_string()).collect()
     }
 }
 
@@ -190,9 +234,129 @@ fn bounded_levenshtein(a: &str, b: &str, budget: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn checker() -> SpellChecker {
         SpellChecker::new(["paypal", "facebook", "google"])
+    }
+
+    impl SpellChecker {
+        /// The pre-index `correct`, kept verbatim as the oracle: a bounded
+        /// Levenshtein against every dictionary word.
+        fn correct_linear<'a>(&'a self, word: &'a str) -> &'a str {
+            if word.len() <= 2 || self.contains(word) {
+                return word;
+            }
+            let budget = if word.len() <= 4 {
+                1
+            } else {
+                self.max_distance
+            };
+            let mut best: Option<(&str, usize)> = None;
+            for w in &self.words {
+                // Cheap length gate.
+                if w.len().abs_diff(word.len()) > budget {
+                    continue;
+                }
+                let d = bounded_levenshtein(word, w, budget);
+                if let Some(d) = d {
+                    let better = match best {
+                        None => true,
+                        Some((bw, bd)) => {
+                            d < bd || (d == bd && (w.len(), w.as_str()) < (bw.len(), bw))
+                        }
+                    };
+                    if better {
+                        best = Some((w, d));
+                    }
+                }
+            }
+            best.map(|(w, _)| w).unwrap_or(word)
+        }
+    }
+
+    /// Brand-like labels with the shapes that stress the index: repeated
+    /// letters, shared prefixes, digits, a hyphen, words shorter than the
+    /// pass-through length and longer than any base word.
+    const LABELS: &[&str] = &[
+        "paypal",
+        "paypa1",
+        "facebook",
+        "google",
+        "googledrive",
+        "go",
+        "att",
+        "aol",
+        "usaa",
+        "wells-fargo",
+        "bankofamerica",
+        "bankofmontreal",
+        "americanexpress",
+        "ebay",
+        "eba",
+        "hsbc",
+        "santander",
+        "apple",
+        "appleid",
+        "aaaa",
+        "aaaaaa",
+        "1and1",
+        "t-online",
+    ];
+
+    /// Applies substitutions, deletions and insertions to an ASCII word.
+    fn edit(word: &str, edits: &[(u8, usize, u8)]) -> String {
+        const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789-";
+        let mut bytes = word.as_bytes().to_vec();
+        for &(kind, at, byte) in edits {
+            let byte = ALPHABET[byte as usize % ALPHABET.len()];
+            let n = bytes.len();
+            match kind % 3 {
+                0 if n > 0 => bytes[at % n] = byte,
+                1 if n > 0 => drop(bytes.remove(at % n)),
+                _ => bytes.insert(at % (n + 1), byte),
+            }
+        }
+        String::from_utf8(bytes).expect("ASCII edits of an ASCII word")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        #[test]
+        fn index_lookup_equals_the_linear_scan(
+            pick in any::<usize>(),
+            edits in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<u8>()), 0..4),
+        ) {
+            static CHECKER: std::sync::OnceLock<SpellChecker> = std::sync::OnceLock::new();
+            let c = CHECKER.get_or_init(|| SpellChecker::new(LABELS));
+            let token = edit(&c.words[pick % c.words.len()], &edits);
+            prop_assert_eq!(c.correct(&token), c.correct_linear(&token), "token {:?}", token);
+        }
+    }
+
+    #[test]
+    fn budget_drops_to_one_at_length_four() {
+        let c = SpellChecker::new(LABELS);
+        // Length 4 at distance 1, at distance 2 (over budget); length 5
+        // at distance 2.
+        assert_eq!(c.correct("cxsh"), "cash");
+        assert_eq!(c.correct("cxxh"), "cxxh");
+        assert_eq!(c.correct("caxxh"), "cash");
+        // Every token of length 3..=5 over a small alphabet, so both
+        // sides of the boundary meet every kind of near miss.
+        let mut tokens = vec![String::new()];
+        for len in 1..=5 {
+            tokens = tokens
+                .iter()
+                .flat_map(|t| "achps".chars().map(move |c| format!("{t}{c}")))
+                .collect();
+            if len >= 3 {
+                for t in &tokens {
+                    assert_eq!(c.correct(t), c.correct_linear(t), "token {t:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -235,17 +399,6 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(c.correct("sign"), first);
         }
-    }
-
-    #[test]
-    fn correct_all_streams() {
-        let c = checker();
-        let toks: Vec<String> = ["enter", "yur", "passwod"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let fixed = c.correct_all(&toks);
-        assert_eq!(fixed[2], "password");
     }
 
     #[test]

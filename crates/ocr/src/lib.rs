@@ -26,6 +26,7 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 use squatphi_render::font::{charset_char, ADVANCE, CHARSET, GLYPHS, GLYPH_H, GLYPH_W};
 use squatphi_render::Bitmap;
+use std::sync::OnceLock;
 
 /// OCR engine configuration.
 #[derive(Debug, Clone)]
@@ -152,8 +153,23 @@ pub fn recognize(bmp: &Bitmap, config: &OcrConfig) -> OcrResult {
     OcrResult { lines }
 }
 
+/// Row `y` (in bounds) as one slice of the pixel buffer.
+fn row(bmp: &Bitmap, y: usize) -> &[u8] {
+    &bmp.pixels()[y * bmp.width()..(y + 1) * bmp.width()]
+}
+
 fn row_has_ink(bmp: &Bitmap, y: usize, threshold: u8) -> bool {
-    (0..bmp.width()).any(|x| bmp.get(x, y) >= threshold)
+    // A max reduction vectorises; a short-circuiting `any` does not.
+    let darkest = row(bmp, y).iter().copied().max();
+    darkest.is_some_and(|p| p >= threshold)
+}
+
+/// Leftmost column with ink in rows `top..top + rows` (clipped to the
+/// bitmap): the smallest first-ink position of any of those rows.
+fn leftmost_ink(bmp: &Bitmap, top: usize, rows: usize, threshold: u8) -> Option<usize> {
+    (top..(top + rows).min(bmp.height()))
+        .filter_map(|y| row(bmp, y).iter().position(|&p| p >= threshold))
+        .min()
 }
 
 /// Reads one band as a line of glyphs at `scale`, trying several grid
@@ -167,18 +183,7 @@ fn read_band(
     config: &OcrConfig,
     rng: &mut StdRng,
 ) -> Option<String> {
-    // Find the leftmost ink column.
-    let band_rows = GLYPH_H * scale;
-    let mut left = None;
-    'cols: for x in 0..bmp.width() {
-        for y in top..(top + band_rows).min(bmp.height()) {
-            if bmp.get(x, y) >= config.threshold {
-                left = Some(x);
-                break 'cols;
-            }
-        }
-    }
-    let ink_left = left?;
+    let ink_left = leftmost_ink(bmp, top, GLYPH_H * scale, config.threshold)?;
     let mut best: Option<(usize, String)> = None;
     for phase in 0..GLYPH_W {
         let start = match ink_left.checked_sub(phase * scale) {
@@ -272,18 +277,24 @@ fn sample_cell(bmp: &Bitmap, x: usize, top: usize, scale: usize, threshold: u8) 
     cell
 }
 
+/// A 5×7 cell as one word, a row per byte, so a template comparison is
+/// one XOR and one popcount.
+fn pack(cell: &[u8; GLYPH_H]) -> u64 {
+    cell.iter().fold(0, |word, &row| word << 8 | u64::from(row))
+}
+
 /// Best-matching glyph under the mismatch budget; `?` when nothing fits.
 fn match_glyph(cell: &[u8; GLYPH_H], budget: u32) -> char {
+    static ATLAS: OnceLock<Vec<(char, u64)>> = OnceLock::new();
+    let atlas = ATLAS.get_or_init(|| {
+        let glyphs = GLYPHS.iter().enumerate();
+        let packed = glyphs.map(|(i, g)| (charset_char(i), pack(g)));
+        packed.filter(|&(c, _)| c != ' ').collect()
+    });
+    let cell = pack(cell);
     let mut best = ('?', u32::MAX);
-    for (i, g) in GLYPHS.iter().enumerate() {
-        let c = charset_char(i);
-        if c == ' ' {
-            continue;
-        }
-        let mut mismatch = 0u32;
-        for r in 0..GLYPH_H {
-            mismatch += (cell[r] ^ g[r]).count_ones();
-        }
+    for &(c, glyph) in atlas {
+        let mismatch = (cell ^ glyph).count_ones();
         if mismatch < best.1 {
             best = (c, mismatch);
         }
@@ -334,6 +345,93 @@ mod tests {
 
     fn render(html: &str) -> Bitmap {
         render_page(&parse(html), &RenderOptions::default())
+    }
+
+    /// The scans as they were before they read whole rows: one
+    /// bounds-checked `get` per pixel, columns outermost for the left edge,
+    /// seven byte popcounts per template.
+    fn row_has_ink_by_get(bmp: &Bitmap, y: usize, threshold: u8) -> bool {
+        (0..bmp.width()).any(|x| bmp.get(x, y) >= threshold)
+    }
+
+    fn leftmost_ink_by_get(bmp: &Bitmap, top: usize, rows: usize, threshold: u8) -> Option<usize> {
+        (0..bmp.width())
+            .find(|&x| (top..(top + rows).min(bmp.height())).any(|y| bmp.get(x, y) >= threshold))
+    }
+
+    fn match_glyph_by_rows(cell: &[u8; GLYPH_H], budget: u32) -> char {
+        let mut best = ('?', u32::MAX);
+        for (i, g) in GLYPHS.iter().enumerate() {
+            let c = charset_char(i);
+            if c == ' ' {
+                continue;
+            }
+            let mut mismatch = 0u32;
+            for r in 0..GLYPH_H {
+                mismatch += (cell[r] ^ g[r]).count_ones();
+            }
+            if mismatch < best.1 {
+                best = (c, mismatch);
+            }
+        }
+        if best.1 <= budget {
+            best.0
+        } else {
+            '?'
+        }
+    }
+
+    #[test]
+    fn slice_scans_agree_with_the_get_based_ones() {
+        let mut rng = StdRng::seed_from_u64(0x0C5);
+        // Mostly blank rows with sparse ink, like a page; a bitmap with
+        // no columns and one with no rows for the degenerate ends.
+        for (w, h) in [(360, 60), (37, 23), (5, 7), (1, 1), (0, 4), (4, 0)] {
+            let mut bmp = Bitmap::new(w, h);
+            for y in (0..h).filter(|y| y % 3 != 0) {
+                for x in 0..w {
+                    if rng.gen_bool(0.02) {
+                        bmp.put(x, y, rng.gen());
+                    }
+                }
+            }
+            for threshold in [0, 1, 200, 255] {
+                for y in 0..h {
+                    assert_eq!(
+                        row_has_ink(&bmp, y, threshold),
+                        row_has_ink_by_get(&bmp, y, threshold),
+                        "{w}x{h} row {y} at {threshold}"
+                    );
+                    for rows in [1, GLYPH_H, 4 * GLYPH_H] {
+                        assert_eq!(
+                            leftmost_ink(&bmp, y, rows, threshold),
+                            leftmost_ink_by_get(&bmp, y, rows, threshold),
+                            "{w}x{h} band {y}+{rows} at {threshold}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_match_agrees_with_the_row_by_row_one() {
+        let mut rng = StdRng::seed_from_u64(0x0C5);
+        for g in GLYPHS.iter() {
+            // Each template exactly, then under 1..=8 flipped pixels, so
+            // both sides of every budget and near-ties between glyphs occur.
+            let mut cell = *g;
+            for _ in 0..=8 {
+                for budget in [0, 4, 35] {
+                    assert_eq!(
+                        match_glyph(&cell, budget),
+                        match_glyph_by_rows(&cell, budget),
+                        "cell {cell:?} budget {budget}"
+                    );
+                }
+                cell[rng.gen_range(0..GLYPH_H)] ^= 1 << rng.gen_range(0..GLYPH_W);
+            }
+        }
     }
 
     #[test]

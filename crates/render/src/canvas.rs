@@ -123,28 +123,33 @@ impl Bitmap {
         self.pixels.iter().map(|&p| p as f64).sum::<f64>() / self.pixels.len() as f64
     }
 
-    /// Nearest-neighbor resample to `w`×`h` (used by perceptual hashing).
+    /// Box-average resample to `w`×`h` (used by perceptual hashing): each
+    /// target cell is the integer mean of the source box it covers. Boxes
+    /// round outwards, so neighbours overlap when the size does not
+    /// divide, and upsampling repeats pixels.
     pub fn resample(&self, w: usize, h: usize) -> Bitmap {
         let mut out = Bitmap::new(w, h);
         if self.width == 0 || self.height == 0 || w == 0 || h == 0 {
             return out;
         }
-        // Box-average per target cell for stability.
-        for ty in 0..h {
+        // Per target row: sum the band's source rows column-wise, one
+        // whole-row slice at a time, then each cell sums its columns.
+        // `u32` holds 16M full-ink rows per column.
+        let mut cols = vec![0u32; self.width];
+        for (ty, target) in out.pixels.chunks_exact_mut(w).enumerate() {
             let y0 = ty * self.height / h;
             let y1 = (((ty + 1) * self.height).div_ceil(h)).max(y0 + 1);
-            for tx in 0..w {
+            cols.fill(0);
+            for row in self.pixels[y0 * self.width..y1 * self.width].chunks_exact(self.width) {
+                for (c, &p) in cols.iter_mut().zip(row) {
+                    *c += u32::from(p);
+                }
+            }
+            for (tx, cell) in target.iter_mut().enumerate() {
                 let x0 = tx * self.width / w;
                 let x1 = (((tx + 1) * self.width).div_ceil(w)).max(x0 + 1);
-                let mut sum = 0usize;
-                let mut n = 0usize;
-                for y in y0..y1.min(self.height) {
-                    for x in x0..x1.min(self.width) {
-                        sum += self.pixels[y * self.width + x] as usize;
-                        n += 1;
-                    }
-                }
-                out.pixels[ty * w + tx] = (sum / n.max(1)) as u8;
+                let sum: usize = cols[x0..x1].iter().map(|&c| c as usize).sum();
+                *cell = (sum / ((y1 - y0) * (x1 - x0))) as u8;
             }
         }
         out
