@@ -1,17 +1,20 @@
 #!/usr/bin/env bash
 # Crash-point recovery matrix across real process boundaries.
 #
-# For each durable-write index K, runs the release binary under a seeded
-# `crash-at-write-K` disk-fault plan (the process aborts with exit code
-# 86 at the K-th checkpoint write — before it, mid-write with a torn
-# temp file, or after the commit rename, drawn from the seed), restarts
-# with --resume against whatever the crash left on disk, and asserts the
-# recovered --json summary is byte-identical to an uninterrupted run's.
-# Both durable-state consumers are swept: `squatphi watch` (watermark
-# checkpoints) and `repro` (stage checkpoints).
+# For each durable-operation index K, runs the release binary under a
+# seeded `crash-at-write-K` disk-fault plan (the process aborts with exit
+# code 86 at the K-th durable write or append — before it, mid-way with
+# a torn temp file or a torn journal frame, or after the commit rename /
+# the append's fsync, drawn from the seed), restarts with --resume
+# against whatever the crash left on disk, and asserts the recovered
+# --json summary is byte-identical to an uninterrupted run's. Both
+# durable-state consumers are swept: `squatphi watch` (watermark
+# checkpoints: a base snapshot plus a journal of appended deltas) and
+# `repro` (write-once stage checkpoints).
 #
-# The in-process half of the matrix (panicking crash hook, every K,
-# 1/4/8 threads) lives in crates/core/tests/durable_state.rs.
+# The in-process half of the matrix (panicking crash hook, every K and
+# every kind of operation, 1/4/8 threads) lives in
+# crates/core/tests/durable_state.rs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,11 +26,11 @@ cargo build --release -p squatphi-cli -p squatphi-experiments
 SQUATPHI=target/release/squatphi
 REPRO=target/release/repro
 
-# -- watch: watermark checkpoints ------------------------------------------
+# -- watch: watermark checkpoints (base + journal) --------------------------
 
 "$SQUATPHI" watch --seed 7 --events 1000 --json > "$WORK/watch-baseline.json"
 
-for k in 1 2 3 4 5; do
+for k in 1 2 3 4 5 6 7 8; do
     dir="$WORK/watch-ckpt-$k"
     set +e
     "$SQUATPHI" watch --seed 7 --events 1000 --checkpoint "$dir" \
@@ -46,8 +49,23 @@ for k in 1 2 3 4 5; do
         echo "crash_matrix: watch K=$k resumed summary diverged" >&2
         exit 1
     fi
-    echo "crash_matrix: watch K=$k crashed and recovered byte-identically"
+    echo "crash_matrix: watch K=$k crashed and recovered byte-identically" \
+        "($(sed -n 's/.*simulated crash: //p' "$WORK/watch-crash-$k.log"))"
 done
+
+# The sweep has to reach past the first base: the crash logs name the
+# operation (`append K (watch.gN.ckpt): …`, `write K (watch.gN.ckpt.tmp):
+# …`, `commit of watch.gN.ckpt: …`), and in a fresh directory any base
+# after generation 1 is a compaction.
+if ! grep -qh 'simulated crash: append ' "$WORK"/watch-crash-*.log; then
+    echo "crash_matrix: the watch sweep never crashed at a journal append" >&2
+    exit 1
+fi
+if ! grep -qhE 'simulated crash: (write [0-9]+ \(|commit of )watch\.g([2-9]|[1-9][0-9]+)\.ckpt' \
+        "$WORK"/watch-crash-*.log; then
+    echo "crash_matrix: the watch sweep never crashed at a compaction" >&2
+    exit 1
+fi
 
 # -- repro: stage checkpoints (scan, crawl, train) -------------------------
 

@@ -14,7 +14,7 @@ crates/ml/src/metrics.rs:Metrics
 crates/dnsdb/src/scan.rs:WorkerMetrics
 crates/dnsdb/src/scan.rs:ScanMetrics
 crates/core/src/artifact.rs:AnalysisMetrics
-crates/core/src/stream.rs:WatchMetrics
+crates/core/src/stream/counters.rs:WatchMetrics
 '
 
 fail=0

@@ -1,7 +1,9 @@
 //! Durability oracle: exhaustive single-byte damage over a real
-//! two-generation [`DurableStore`].
+//! two-generation [`DurableStore`] — once with plain write-once
+//! generations, once with each generation a base plus a journal of delta
+//! frames.
 //!
-//! Contract under test, per seeded body:
+//! Contract under test, per seeded body, plain store:
 //!
 //! * damaging the newest generation at *any* byte — one flipped bit or a
 //!   truncation at any length — never panics the reader, and every such
@@ -13,6 +15,17 @@
 //! * after every load the store's [`DurabilityStats`] ledger reconciles
 //!   (`reads == valid + recovered + recomputed + unrecoverable`).
 //!
+//! And over the base + journal store, where a value is the base body
+//! followed by every frame replayed over it:
+//!
+//! * damage inside the newest generation's base recovers the previous
+//!   generation's base *and its whole journal*,
+//! * damage inside frame `i` of its journal — or a truncation anywhere
+//!   in it — yields the base plus exactly frames `1..i`: never a later
+//!   frame, never an altered one, and a truncation is never reported as
+//!   a recovery (a torn tail is how a journal normally ends),
+//! * `frames_read == frames_applied + frames_discarded` after every load.
+//!
 //! Damage is injected by rewriting generation files through
 //! [`RealVfs`] — the same write path the store itself uses — and every
 //! case restores the pristine bytes afterwards, so cases are independent.
@@ -20,7 +33,9 @@
 //! [`DurabilityStats`]: squatphi_durability::DurabilityStats
 
 use crate::{Params, Violation};
-use squatphi_durability::{DurableStore, LoadOutcome, RealVfs, StoreError, Vfs};
+use squatphi_durability::{
+    DurableStore, LoadOutcome, RealVfs, StoreError, Vfs, FRAME_HEADER_BYTES,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,8 +139,174 @@ pub(crate) fn run_durability(seed: u64, params: &Params) -> (u64, Vec<Violation>
     let mut violations = Vec::new();
     for index in 0..params.durability_bodies {
         cases += run_body(seed, index, &mut violations);
+        cases += run_journaled_body(seed, index, &mut violations);
     }
     (cases, violations)
+}
+
+/// Frames appended to each generation of the journaled store.
+const FRAMES: usize = 3;
+
+/// One load of the journaled store: the value (base, then each frame
+/// replayed), whether it was a recovery, and whether the ledger holds.
+fn load_journaled(dir: &Path, config: u64) -> Result<(Option<Vec<String>>, bool, bool), String> {
+    let store = DurableStore::open_real(dir, config).map_err(|e| e.to_string())?;
+    let outcome = store
+        .load_journal(
+            "state",
+            |base| Some(vec![base.to_string()]),
+            |value, delta| {
+                value.push(delta.to_string());
+                true
+            },
+        )
+        .map_err(|e| e.to_string())?;
+    let reconciles = store.stats().reconciles();
+    Ok(match outcome {
+        LoadOutcome::Valid(value) => (Some(value), false, reconciles),
+        LoadOutcome::Recovered { value, .. } => (Some(value), true, reconciles),
+        _ => (None, false, reconciles),
+    })
+}
+
+/// One seeded body over a base + journal store: g1 and g2 each a base
+/// with [`FRAMES`] frames; every byte of g2 flipped, g2 cut at every
+/// length.
+fn run_journaled_body(seed: u64, index: usize, violations: &mut Vec<Violation>) -> u64 {
+    let invocation = INVOCATION.fetch_add(1, Ordering::Relaxed);
+    let dir: PathBuf = std::env::temp_dir().join(format!(
+        "squatphi-conformance-journal-{}-{seed}-{invocation}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = mix(seed ^ 0x10a7_f4a3 ^ index as u64);
+    // value(g, n): generation g's base followed by its first n frames.
+    let value = |gen: u64, frames: usize| -> Vec<String> {
+        (0..=frames as u64)
+            .map(|part| body_for(seed ^ 0x6a09_e667, index, gen * 16 + part))
+            .collect()
+    };
+    let mut violate = |input: String, detail: String| {
+        violations.push(Violation {
+            oracle: "durability",
+            input,
+            detail,
+        })
+    };
+
+    let setup = (|| -> Result<(Vec<u8>, usize), String> {
+        let store = DurableStore::open_real(&dir, config).map_err(|e| e.to_string())?;
+        let mut journal_at = 0;
+        for gen in [1, 2] {
+            let parts = value(gen, FRAMES);
+            store.save("state", &parts[0]).map_err(|e| e.to_string())?;
+            let path = dir.join(format!("state.g{gen}.ckpt"));
+            journal_at = RealVfs.read(&path).map_err(|e| e.to_string())?.len();
+            for frame in &parts[1..] {
+                store
+                    .append("state", gen, frame)
+                    .map_err(|e| e.to_string())?;
+            }
+        }
+        let g2 = RealVfs
+            .read(&dir.join("state.g2.ckpt"))
+            .map_err(|e| e.to_string())?;
+        Ok((g2, journal_at))
+    })();
+    let (pristine, journal_at) = match setup {
+        Ok(built) => built,
+        Err(e) => {
+            violate(
+                format!("journal {index}: setup"),
+                format!("could not build the base + journal store: {e}"),
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+            return 1;
+        }
+    };
+    let g2_path = dir.join("state.g2.ckpt");
+    // Whole g2 frames that end at or before byte `pos`.
+    let frames_before = |pos: usize| -> usize {
+        let mut end = journal_at;
+        value(2, FRAMES)[1..]
+            .iter()
+            .take_while(|frame| {
+                end += FRAME_HEADER_BYTES + frame.len();
+                end <= pos
+            })
+            .count()
+    };
+
+    let mut cases = 0u64;
+    let mut check = |input: String, expected: Vec<String>, may_recover: bool| {
+        cases += 1;
+        match catch_unwind(AssertUnwindSafe(|| load_journaled(&dir, config))) {
+            Err(_) => violate(input, "panic escaped the journal reader".into()),
+            Ok(Err(e)) => violate(
+                input,
+                format!("store error instead of a classification: {e}"),
+            ),
+            Ok(Ok((got, recovered, reconciles))) => {
+                if got.as_ref() != Some(&expected) {
+                    violate(
+                        input.clone(),
+                        format!(
+                            "loaded {} parts, expected the base and exactly {} frame(s)",
+                            got.map_or(0, |v| v.len()),
+                            expected.len() - 1
+                        ),
+                    );
+                }
+                if recovered && !may_recover {
+                    violate(
+                        input.clone(),
+                        "a torn journal tail was reported as a recovery".into(),
+                    );
+                }
+                if !reconciles {
+                    violate(
+                        input,
+                        "durability counters do not reconcile after the load".into(),
+                    );
+                }
+            }
+        }
+    };
+
+    check(
+        format!("journal {index}: pristine"),
+        value(2, FRAMES),
+        false,
+    );
+    for pos in 0..pristine.len() {
+        let mut damaged = pristine.clone();
+        damaged[pos] ^= 1u8 << (mix(seed ^ 0x51ed ^ pos as u64) % 8);
+        RealVfs.write(&g2_path, &damaged).expect("inject bitflip");
+        let expected = if pos < journal_at {
+            value(1, FRAMES)
+        } else {
+            value(2, frames_before(pos))
+        };
+        check(format!("journal {index}: bitflip g2@{pos}"), expected, true);
+    }
+    for len in 0..pristine.len() {
+        RealVfs
+            .write(&g2_path, &pristine[..len])
+            .expect("inject truncation");
+        let (expected, in_base) = if len < journal_at {
+            (value(1, FRAMES), true)
+        } else {
+            (value(2, frames_before(len)), false)
+        };
+        check(
+            format!("journal {index}: torn g2 at {len}"),
+            expected,
+            in_base,
+        );
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+    cases
 }
 
 /// One seeded body: builds the two-generation store, then sweeps damage.

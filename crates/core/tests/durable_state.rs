@@ -3,10 +3,11 @@
 //!
 //! Contracts:
 //!
-//! * crashing at *every* durable write index `K` of a checkpointed run —
-//!   pipeline and watch alike — and then resuming without faults
-//!   reproduces the uninterrupted run byte-for-byte (summary JSON and
-//!   state fingerprint),
+//! * crashing at *every* durable operation `K` of a checkpointed run —
+//!   pipeline stage writes; watch base writes, journal appends (before,
+//!   mid-append with a torn frame, after) and compactions — and then
+//!   resuming without faults reproduces the uninterrupted run
+//!   byte-for-byte (summary JSON and state fingerprint),
 //! * the `durability.*` telemetry is a pure function of the seeded plan:
 //!   identical across two runs and across worker-thread counts 1/4/8,
 //!   and it always satisfies the read-accounting invariant,
@@ -66,7 +67,7 @@ fn watch_config(threads: usize) -> WatchConfig {
         .crawl_cadence(3)
         .crawl_batch(6)
         .threads(threads)
-        .checkpoint_every(48)
+        .checkpoint_every(24)
         .build()
         .expect("watch config is valid")
 }
@@ -77,13 +78,30 @@ fn crash_plan(k: u64) -> DiskFaultPlan {
         .with_seed(k)
 }
 
+/// Which kind of durable operation a simulated crash interrupted, from
+/// the crash context (`write 3 (watch.g2.ckpt.tmp): mid-write …`,
+/// `append 2 (watch.g1.ckpt): after-append`, `commit of watch.g2.ckpt:
+/// after-commit …`). In a fresh directory generation 1 is the first
+/// base and every later generation a compaction.
+fn crash_kind(context: &str) -> &'static str {
+    let compaction = !context.contains("watch.g1.ckpt");
+    match context {
+        c if c.contains("before-append") => "append, before",
+        c if c.contains("mid-append") => "append, torn frame",
+        c if c.contains("after-append") => "append, after",
+        c if c.contains("append") => panic!("unknown append crash point: {c}"),
+        _ if compaction => "compaction",
+        _ => "first base",
+    }
+}
+
 #[test]
 fn watch_crash_at_every_write_resumes_byte_identically() {
     install_hooks();
     let config = watch_config(4);
     let baseline = SquatPhi::try_watch(&config, &WatchOptions::default()).expect("baseline run");
 
-    // Count the durable writes of a full checkpointed run; the crash
+    // Count the durable operations of a full checkpointed run; the crash
     // sweep below covers every one of them.
     let count_dir = temp_dir("watch-count");
     let counted = SquatPhi::try_watch(
@@ -94,8 +112,11 @@ fn watch_crash_at_every_write_resumes_byte_identically() {
         },
     )
     .expect("counting run");
-    let writes = counted.durability.writes;
-    assert!(writes >= 3, "too few durable writes to sweep: {writes}");
+    let d = counted.durability;
+    assert!(
+        d.writes >= 2 && d.appends >= 6 && d.compactions >= 1,
+        "too few durable operations to sweep: {d:?}"
+    );
     assert_eq!(
         counted.to_json(),
         baseline.to_json(),
@@ -103,7 +124,8 @@ fn watch_crash_at_every_write_resumes_byte_identically() {
     );
     let _ = std::fs::remove_dir_all(&count_dir);
 
-    for k in 1..=writes {
+    let mut kinds = std::collections::BTreeSet::new();
+    for k in 1..=d.writes + d.appends {
         let dir = temp_dir(&format!("watch-crash-{k}"));
         let crashed = catch_unwind(AssertUnwindSafe(|| {
             SquatPhi::try_watch(
@@ -120,6 +142,7 @@ fn watch_crash_at_every_write_resumes_byte_identically() {
             .downcast_ref::<String>()
             .expect("crash hook panics with a String payload");
         assert!(text.contains(CRASH_MARKER), "unexpected panic: {text}");
+        kinds.insert(crash_kind(text));
 
         // Restart against whatever the crash left on disk — no faults now.
         let resumed = SquatPhi::try_watch(
@@ -130,23 +153,40 @@ fn watch_crash_at_every_write_resumes_byte_identically() {
                 ..WatchOptions::default()
             },
         )
-        .unwrap_or_else(|e| panic!("resume after crash at write {k} failed: {e}"));
+        .unwrap_or_else(|e| panic!("resume after crash at operation {k} failed: {e}"));
         assert_eq!(
             resumed.state_fingerprint, baseline.state_fingerprint,
-            "crash at write {k}: fingerprint diverged"
+            "crash at operation {k} ({text}): fingerprint diverged"
         );
         assert_eq!(
             resumed.to_json(),
             baseline.to_json(),
-            "crash at write {k}: summary diverged"
+            "crash at operation {k} ({text}): summary diverged"
+        );
+        assert_eq!(
+            resumed.recovered_checkpoint, None,
+            "crash at operation {k} ({text}): a crash leaves a torn tail or an \
+             ignored temp file, never damage to recover from"
         );
         assert!(
             resumed.durability.reconciles(),
-            "crash at write {k}: durability ledger does not reconcile: {:?}",
+            "crash at operation {k}: durability ledger does not reconcile: {:?}",
             resumed.durability
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+    let all = [
+        "first base",
+        "compaction",
+        "append, before",
+        "append, torn frame",
+        "append, after",
+    ];
+    assert_eq!(
+        kinds,
+        all.into_iter().collect(),
+        "the sweep must crash at least once in each kind of durable operation"
+    );
 }
 
 #[test]

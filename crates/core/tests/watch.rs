@@ -184,3 +184,62 @@ fn watch_metrics_history_is_monotone() {
     let last = summary.metrics.last().expect("nonempty");
     assert_eq!(last.injected, summary.counters.injected);
 }
+
+/// Each watermark is committed once. `squatphi watch --seed 7 --events
+/// 1000 --stop-after 520` stops on a tick that also crosses
+/// `checkpoint_every`, and an uninterrupted run's last periodic
+/// checkpoint can be its final state: the full-rewrite path saved such a
+/// watermark twice (9 commits for the interrupted run). One durable
+/// operation per checkpointed tick makes it 8, and never more operations
+/// than ticks.
+#[test]
+fn a_watermark_is_never_committed_twice() {
+    let config = WatchConfig::builder()
+        .seed(7)
+        .events(1000)
+        .build()
+        .expect("the CLI's default config");
+    let baseline = SquatPhi::try_watch(&config, &WatchOptions::default()).expect("baseline");
+    let dir = temp_dir("no-duplicates");
+    let stopped = SquatPhi::try_watch(
+        &config,
+        &WatchOptions {
+            checkpoint_dir: Some(dir.clone()),
+            stop_after: Some(520),
+            ..WatchOptions::default()
+        },
+    )
+    .expect("interrupted run");
+    assert_eq!(stopped.watermark, 520);
+    let d = stopped.durability;
+    assert_eq!(d.writes + d.appends, 8, "{d:?}");
+
+    let resumed = SquatPhi::try_watch(
+        &config,
+        &WatchOptions {
+            checkpoint_dir: Some(dir.clone()),
+            resume: true,
+            ..WatchOptions::default()
+        },
+    )
+    .expect("resumed run");
+    assert_eq!(resumed.to_json(), baseline.to_json());
+    let d = resumed.durability;
+    assert_eq!(d.writes + d.appends, 8, "{d:?}");
+    assert!(d.writes + d.appends <= resumed.tick - stopped.tick);
+
+    // A run with nothing left to do resumes and writes nothing at all.
+    let again = SquatPhi::try_watch(
+        &config,
+        &WatchOptions {
+            checkpoint_dir: Some(dir.clone()),
+            resume: true,
+            ..WatchOptions::default()
+        },
+    )
+    .expect("second resume");
+    assert_eq!(again.to_json(), baseline.to_json());
+    let d = again.durability;
+    assert_eq!((d.writes, d.appends, d.valid), (0, 0, 1), "{d:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

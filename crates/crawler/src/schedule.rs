@@ -19,7 +19,7 @@ use std::collections::{BTreeSet, HashMap};
 /// assert_eq!(s.due(4, 10), vec!["a.example".to_string()]);
 /// assert_eq!(s.len(), 1);
 /// ```
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct RecrawlScheduler {
     queue: BTreeSet<(u64, String)>,
     by_domain: HashMap<String, u64>,
@@ -65,6 +65,11 @@ impl RecrawlScheduler {
             out.push(entry.1);
         }
         out
+    }
+
+    /// The tick `domain`'s pending slot is due at, if it has one.
+    pub fn due_tick(&self, domain: &str) -> Option<u64> {
+        self.by_domain.get(domain).copied()
     }
 
     /// Pending entries.
@@ -129,7 +134,9 @@ mod tests {
     fn cancel_removes_pending() {
         let mut s = RecrawlScheduler::new();
         s.schedule(1, "x.example");
+        assert_eq!(s.due_tick("x.example"), Some(1));
         assert!(s.cancel("x.example"));
+        assert_eq!(s.due_tick("x.example"), None);
         assert!(!s.cancel("x.example"));
         assert!(s.due(1, 10).is_empty());
     }

@@ -36,9 +36,18 @@ const fn build_table() -> [u32; 256] {
 
 /// CRC-32C of `bytes` in one shot.
 pub fn crc32c(bytes: &[u8]) -> u32 {
+    crc32c_parts(&[bytes])
+}
+
+/// CRC-32C of the concatenation of `parts`, without joining them (a
+/// journal frame checksums its length word and its payload, which sit
+/// either side of the checksum itself).
+pub(crate) fn crc32c_parts(parts: &[&[u8]]) -> u32 {
     let mut crc = u32::MAX;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xff) as usize];
+    for part in parts {
+        for &b in *part {
+            crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xff) as usize];
+        }
     }
     crc ^ u32::MAX
 }

@@ -14,6 +14,11 @@
 //!   newest-first, classify every file ([`ReadClass`]) and fall back to
 //!   the last good generation, resolving to a [`LoadOutcome`] the
 //!   [`DurabilityCounters`] ledger accounts for exactly.
+//! * [`Journal`] — a state that changes a little between checkpoints is
+//!   a base `StateFile` plus appended, CRC-framed deltas (one write and
+//!   one fsync each), folded into a fresh base when the frames outweigh
+//!   it; a load replays the verified frame prefix and stops at the first
+//!   torn or corrupt frame.
 //! * [`Vfs`] — the filesystem seam: [`RealVfs`] in production,
 //!   [`FaultVfs`] under a seeded [`DiskFaultPlan`]
 //!   (`torn-at-byte-N / bitflip-permille-N / enospc-after-N /
@@ -29,11 +34,13 @@
 
 mod crc32c;
 pub mod grammar;
+pub mod journal;
 pub mod plan;
 pub mod store;
 pub mod vfs;
 
 pub use crc32c::crc32c;
+pub use journal::{encode_frame, read_frames, Journal, JournalEnd, FRAME_HEADER_BYTES};
 pub use plan::{CrashPoint, DiskFaultPlan};
 pub use store::{
     render_classes, DurabilityCounters, DurabilityStats, DurableStore, GenClass, LoadOutcome,

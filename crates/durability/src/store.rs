@@ -25,6 +25,14 @@
 //! and the per-load outcomes, with the conservation identity
 //! `reads == valid + recovered + recomputed + unrecoverable` enforced
 //! declaratively by `squatphi_telemetry::invariants::durability_invariants`.
+//!
+//! A state that changes a little between checkpoints is *journaled*
+//! ([`Journal`](crate::journal::Journal)): its generation file is a base
+//! `StateFile` followed by appended delta frames
+//! ([`DurableStore::append`]), and [`DurableStore::load_journal`] replays
+//! the verified frame prefix over the decoded base. A write-once state
+//! ([`DurableStore::save`] / [`DurableStore::load_with`]) has no frames,
+//! and bytes after its base are damage.
 
 use std::fmt;
 use std::io;
@@ -33,6 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::crc32c::crc32c;
+use crate::journal::{encode_frame, read_frames, JournalEnd};
 use crate::vfs::{RealVfs, Vfs};
 
 /// `StateFile` format version; bumping it invalidates (as
@@ -84,22 +93,31 @@ impl ReadClass {
     }
 }
 
-/// One skipped generation and why it was skipped.
+/// One skipped generation — or one journal frame of a generation whose
+/// base verified — and why it was skipped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GenClass {
     /// The generation number from the file name.
     pub generation: u64,
     /// How the reader classified it.
     pub class: ReadClass,
+    /// The damaged journal frame (1-based) when the generation's base
+    /// verified and the replay stopped short; `None` for a skipped file.
+    pub frame: Option<u64>,
 }
 
 impl fmt::Display for GenClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "g{} {}", self.generation, self.class.name())
+        write!(f, "g{}", self.generation)?;
+        if let Some(frame) = self.frame {
+            write!(f, " frame {frame}")?;
+        }
+        write!(f, " {}", self.class.name())
     }
 }
 
-/// Renders a skipped-generation list for reports: `g4 torn, g3 corrupt_body`.
+/// Renders a skipped-generation list for reports:
+/// `g4 torn, g3 frame 7 corrupt_body`.
 pub fn render_classes(classes: &[GenClass]) -> String {
     classes
         .iter()
@@ -115,13 +133,15 @@ pub enum LoadOutcome<T> {
     Missing,
     /// The newest generation verified and decoded.
     Valid(T),
-    /// The newest generation(s) were damaged; an older one verified.
+    /// The newest generation(s) were damaged and an older one verified,
+    /// or a journal replay stopped at a damaged frame.
     Recovered {
         /// The decoded state.
         value: T,
         /// The generation that verified.
         generation: u64,
-        /// The newer generations that were skipped, newest first.
+        /// The newer generations that were skipped, newest first, then
+        /// the damaged frame of `generation` itself, if any.
         skipped: Vec<GenClass>,
     },
     /// The newest readable generation belongs to a different config or
@@ -200,6 +220,11 @@ pub struct DurabilityCounters {
     unrecoverable: AtomicU64,
     writes: AtomicU64,
     retired: AtomicU64,
+    appends: AtomicU64,
+    compactions: AtomicU64,
+    frames_read: AtomicU64,
+    frames_applied: AtomicU64,
+    frames_discarded: AtomicU64,
     class_valid: AtomicU64,
     class_stale_config: AtomicU64,
     class_corrupt_header: AtomicU64,
@@ -209,6 +234,10 @@ pub struct DurabilityCounters {
 }
 
 impl DurabilityCounters {
+    pub(crate) fn note_compaction(&self) {
+        self.compactions.fetch_add(1, Ordering::Relaxed);
+    }
+
     fn note_class(&self, class: ReadClass) {
         let cell = match class {
             ReadClass::Valid => &self.class_valid,
@@ -231,6 +260,11 @@ impl DurabilityCounters {
             unrecoverable: self.unrecoverable.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
             retired: self.retired.load(Ordering::Relaxed),
+            appends: self.appends.load(Ordering::Relaxed),
+            compactions: self.compactions.load(Ordering::Relaxed),
+            frames_read: self.frames_read.load(Ordering::Relaxed),
+            frames_applied: self.frames_applied.load(Ordering::Relaxed),
+            frames_discarded: self.frames_discarded.load(Ordering::Relaxed),
             class_valid: self.class_valid.load(Ordering::Relaxed),
             class_stale_config: self.class_stale_config.load(Ordering::Relaxed),
             class_corrupt_header: self.class_corrupt_header.load(Ordering::Relaxed),
@@ -254,10 +288,21 @@ pub struct DurabilityStats {
     pub recomputed: u64,
     /// Loads where every generation was damaged.
     pub unrecoverable: u64,
-    /// Committed durable writes (`save` calls that renamed into place).
+    /// Committed base writes (`save` calls that renamed into place).
     pub writes: u64,
     /// Old generation files retired after a commit.
     pub retired: u64,
+    /// Delta frames durably appended to a generation's journal.
+    pub appends: u64,
+    /// Base writes that folded a journal (or a resumed state) into a
+    /// fresh generation; a subset of `writes`.
+    pub compactions: u64,
+    /// Journal frames a load examined, the damaged one included.
+    pub frames_read: u64,
+    /// Frames that verified and were replayed over their base.
+    pub frames_applied: u64,
+    /// Frames examined but not replayed: torn, corrupt, or inapplicable.
+    pub frames_discarded: u64,
     /// Per-generation classifications (one per file inspected).
     pub class_valid: u64,
     /// See [`ReadClass::StaleConfig`].
@@ -284,6 +329,11 @@ impl DurabilityStats {
         scope.set_u64("unrecoverable", self.unrecoverable);
         scope.set_u64("writes", self.writes);
         scope.set_u64("retired", self.retired);
+        scope.set_u64("appends", self.appends);
+        scope.set_u64("compactions", self.compactions);
+        scope.set_u64("frames_read", self.frames_read);
+        scope.set_u64("frames_applied", self.frames_applied);
+        scope.set_u64("frames_discarded", self.frames_discarded);
         let class = scope.scope("class");
         class.set_u64("valid", self.class_valid);
         class.set_u64("stale_config", self.class_stale_config);
@@ -293,24 +343,32 @@ impl DurabilityStats {
         class.set_u64("missing", self.class_missing);
     }
 
-    /// Whether the outcome ledger conserves:
-    /// `reads == valid + recovered + recomputed + unrecoverable`.
+    /// Whether the ledger conserves:
+    /// `reads == valid + recovered + recomputed + unrecoverable` and
+    /// `frames_read == frames_applied + frames_discarded`.
     pub fn reconciles(&self) -> bool {
         self.reads == self.valid + self.recovered + self.recomputed + self.unrecoverable
+            && self.frames_read == self.frames_applied + self.frames_discarded
     }
 
     /// One-line human report.
     pub fn report_line(&self) -> String {
         format!(
-            "{} writes ({} retired), {} reads: {} valid, {} recovered, {} recomputed, \
-             {} unrecoverable [{}]",
+            "{} writes ({} retired, {} compactions), {} appends, {} reads: {} valid, \
+             {} recovered, {} recomputed, {} unrecoverable, {} frames: {} applied, \
+             {} discarded [{}]",
             self.writes,
             self.retired,
+            self.compactions,
+            self.appends,
             self.reads,
             self.valid,
             self.recovered,
             self.recomputed,
             self.unrecoverable,
+            self.frames_read,
+            self.frames_applied,
+            self.frames_discarded,
             if self.reconciles() {
                 "reconciled"
             } else {
@@ -328,6 +386,11 @@ impl DurabilityStats {
         self.unrecoverable += other.unrecoverable;
         self.writes += other.writes;
         self.retired += other.retired;
+        self.appends += other.appends;
+        self.compactions += other.compactions;
+        self.frames_read += other.frames_read;
+        self.frames_applied += other.frames_applied;
+        self.frames_discarded += other.frames_discarded;
         self.class_valid += other.class_valid;
         self.class_stale_config += other.class_stale_config;
         self.class_corrupt_header += other.class_corrupt_header;
@@ -420,8 +483,16 @@ impl DurableStore {
         bytes
     }
 
-    /// Classifies one generation file's bytes; `Ok` carries the body.
-    fn classify(&self, expected_gen: u64, bytes: &[u8]) -> Result<String, ReadClass> {
+    /// Classifies one generation file's bytes; `Ok` carries the body and
+    /// the bytes after the protected region — the journal when
+    /// `journaled`, and otherwise empty, because a write-once state's
+    /// trailing bytes are damage.
+    fn classify<'b>(
+        &self,
+        expected_gen: u64,
+        bytes: &'b [u8],
+        journaled: bool,
+    ) -> Result<(String, &'b [u8]), ReadClass> {
         // Unprotected header line: `squatphi-state crc32c=<8hex> len=<dec>`.
         let nl = bytes
             .iter()
@@ -452,11 +523,10 @@ impl DurableStore {
             .ok_or(ReadClass::CorruptHeader)? as usize;
 
         // Protected region: exact length, then checksum.
-        let protected = &bytes[nl + 1..];
-        if protected.len() < len {
+        let Some((protected, journal)) = bytes[nl + 1..].split_at_checked(len) else {
             return Err(ReadClass::Torn);
-        }
-        if protected.len() > len {
+        };
+        if !journaled && !journal.is_empty() {
             return Err(ReadClass::CorruptBody);
         }
         if crc32c(protected) != crc {
@@ -496,7 +566,7 @@ impl DurableStore {
         if config != self.config {
             return Err(ReadClass::StaleConfig);
         }
-        Ok(body.to_string())
+        Ok((body.to_string(), journal))
     }
 
     /// Durably commits `body` as the next generation of `name` and
@@ -509,6 +579,12 @@ impl DurableStore {
     /// new one fully durable (plus, at worst, an ignored temp file or an
     /// unretired old generation).
     pub fn save(&self, name: &str, body: &str) -> Result<u64, StoreError> {
+        self.commit(name, body)
+            .map(|(generation, _bytes)| generation)
+    }
+
+    /// [`DurableStore::save`], also returning the committed file's size.
+    pub(crate) fn commit(&self, name: &str, body: &str) -> Result<(u64, u64), StoreError> {
         let gens = self.generations(name)?;
         let next = gens.last().map_or(1, |g| g + 1);
         let path = self.gen_path(name, next);
@@ -527,7 +603,24 @@ impl DurableStore {
                 Err(e) => return Err(io_err(&old_path, e)),
             }
         }
-        Ok(next)
+        Ok((next, bytes.len() as u64))
+    }
+
+    /// Durably appends `payload` as one checksummed frame to the journal
+    /// of `name`'s committed `generation` (one write, one fsync; no
+    /// rename, no directory sync). Returns the frame's size on disk. An
+    /// empty payload writes nothing.
+    pub fn append(&self, name: &str, generation: u64, payload: &str) -> Result<u64, StoreError> {
+        if payload.is_empty() {
+            return Ok(0);
+        }
+        let path = self.gen_path(name, generation);
+        let frame = encode_frame(payload.as_bytes());
+        self.vfs
+            .append(&path, &frame)
+            .map_err(|e| io_err(&path, e))?;
+        self.counters.appends.fetch_add(1, Ordering::Relaxed);
+        Ok(frame.len() as u64)
     }
 
     /// Loads the newest verifiable generation of `name`, decoding its
@@ -540,6 +633,73 @@ impl DurableStore {
         name: &str,
         decode: impl Fn(&str) -> Option<T>,
     ) -> Result<LoadOutcome<T>, StoreError> {
+        self.walk(name, |generation, bytes| {
+            let (body, _) = self.classify(generation, bytes, false)?;
+            let value = decode(&body).ok_or(ReadClass::CorruptBody)?;
+            Ok((value, None))
+        })
+    }
+
+    /// [`DurableStore::load_with`] for a journaled state: decodes the
+    /// newest verifiable base, then replays its journal — `apply` folds
+    /// one frame's payload into the value (`false` = the frame does not
+    /// apply) — and stops at the first frame that is torn, fails its
+    /// checksum or does not apply, never applying a later one.
+    ///
+    /// A torn *tail* is the normal trace of a crash mid-append and leaves
+    /// the outcome [`LoadOutcome::Valid`]; a corrupt or inapplicable frame
+    /// is damage, reported as [`LoadOutcome::Recovered`] with the frame
+    /// named. A damaged base falls back to the previous generation (its
+    /// base and its journal), as in `load_with`.
+    pub fn load_journal<T>(
+        &self,
+        name: &str,
+        decode: impl Fn(&str) -> Option<T>,
+        apply: impl Fn(&mut T, &str) -> bool,
+    ) -> Result<LoadOutcome<T>, StoreError> {
+        self.walk(name, |generation, bytes| {
+            let (body, journal) = self.classify(generation, bytes, true)?;
+            let mut value = decode(&body).ok_or(ReadClass::CorruptBody)?;
+            let (payloads, end) = read_frames(journal);
+            let read = payloads.len() as u64 + u64::from(end != JournalEnd::Clean);
+            let applied = payloads
+                .iter()
+                .take_while(|payload| {
+                    std::str::from_utf8(payload).is_ok_and(|delta| apply(&mut value, delta))
+                })
+                .count() as u64;
+            let c = &self.counters;
+            c.frames_read.fetch_add(read, Ordering::Relaxed);
+            c.frames_applied.fetch_add(applied, Ordering::Relaxed);
+            c.frames_discarded
+                .fetch_add(read - applied, Ordering::Relaxed);
+            // A short tail is what a crash mid-append leaves: the normal
+            // end of a journal, not damage.
+            let damaged = if applied < payloads.len() as u64 {
+                Some(applied + 1)
+            } else if let JournalEnd::Corrupt { frame } = end {
+                Some(frame)
+            } else {
+                None
+            };
+            let note = damaged.map(|frame| GenClass {
+                generation,
+                class: ReadClass::CorruptBody,
+                frame: Some(frame),
+            });
+            Ok((value, note))
+        })
+    }
+
+    /// The generational read every load shares: walks `name`'s files
+    /// newest-first, `open`ing each (`Err` = its classification, `Ok` =
+    /// the value plus the damaged journal frame it stopped at, if any),
+    /// and resolves to exactly one accounted [`LoadOutcome`].
+    fn walk<T>(
+        &self,
+        name: &str,
+        open: impl Fn(u64, &[u8]) -> Result<(T, Option<GenClass>), ReadClass>,
+    ) -> Result<LoadOutcome<T>, StoreError> {
         self.counters.reads.fetch_add(1, Ordering::Relaxed);
         let gens = self.generations(name)?;
         if gens.is_empty() {
@@ -551,30 +711,32 @@ impl DurableStore {
         for &generation in gens.iter().rev() {
             let path = self.gen_path(name, generation);
             let class = match self.vfs.read(&path) {
-                Ok(bytes) => match self.classify(generation, &bytes) {
-                    Ok(body) => match decode(&body) {
-                        Some(value) => {
-                            self.counters.note_class(ReadClass::Valid);
-                            if skipped.is_empty() {
-                                self.counters.valid.fetch_add(1, Ordering::Relaxed);
-                                return Ok(LoadOutcome::Valid(value));
-                            }
-                            self.counters.recovered.fetch_add(1, Ordering::Relaxed);
-                            return Ok(LoadOutcome::Recovered {
-                                value,
-                                generation,
-                                skipped,
-                            });
+                Ok(bytes) => match open(generation, &bytes) {
+                    Ok((value, damaged_frame)) => {
+                        self.counters.note_class(ReadClass::Valid);
+                        skipped.extend(damaged_frame);
+                        if skipped.is_empty() {
+                            self.counters.valid.fetch_add(1, Ordering::Relaxed);
+                            return Ok(LoadOutcome::Valid(value));
                         }
-                        None => ReadClass::CorruptBody,
-                    },
+                        self.counters.recovered.fetch_add(1, Ordering::Relaxed);
+                        return Ok(LoadOutcome::Recovered {
+                            value,
+                            generation,
+                            skipped,
+                        });
+                    }
                     Err(class) => class,
                 },
                 Err(e) if e.kind() == io::ErrorKind::NotFound => ReadClass::Missing,
                 Err(e) => return Err(io_err(&path, e)),
             };
             self.counters.note_class(class);
-            skipped.push(GenClass { generation, class });
+            skipped.push(GenClass {
+                generation,
+                class,
+                frame: None,
+            });
             if class == ReadClass::StaleConfig {
                 // An honest config/version change. If nothing newer was
                 // damaged this is a clean recompute; if damaged newer

@@ -6,15 +6,15 @@
 //! directory — the two syncs the old `write_atomic` helper skipped, and
 //! without which a rename is not crash-safe on real filesystems. Tests
 //! and the chaos CLI flags wrap it in [`FaultVfs`], which applies a
-//! seeded [`DiskFaultPlan`] to every durable write: torn tails, bit rot,
-//! a full device, or a process abort at the `K`-th write.
+//! seeded [`DiskFaultPlan`] to every durable write and append: torn
+//! tails, bit rot, a full device, or a process abort at the `K`-th one.
 //!
 //! The crash abort is observable two ways: by default the process exits
 //! with [`CRASH_EXIT_CODE`] (what `ci/crash_matrix.sh` sweeps for);
 //! in-process tests install a panicking hook via [`install_crash_hook`]
 //! and catch the unwind instead.
 
-use std::fs;
+use std::fs::{self, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -35,6 +35,10 @@ pub trait Vfs: Send + Sync {
     fn list(&self, dir: &Path) -> io::Result<Vec<String>>;
     /// Durably writes `bytes` at `path` (create-or-truncate, then fsync).
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
+    /// Durably appends `bytes` to the existing file at `path` (append,
+    /// then fsync; `NotFound` if absent — a journal only ever grows a
+    /// generation that a [`Vfs::rename`] committed).
+    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
     /// Atomically renames `from` to `to`, then fsyncs the parent
     /// directory so the rename itself survives a crash.
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
@@ -69,6 +73,14 @@ impl Vfs for RealVfs {
         let mut file = fs::File::create(path)?;
         file.write_all(bytes)?;
         file.sync_all()
+    }
+
+    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        let mut file = OpenOptions::new().append(true).open(path)?;
+        file.write_all(bytes)?;
+        // The new length is metadata the data cannot be read back
+        // without, so `fdatasync` flushes it too; nothing else changed.
+        file.sync_data()
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
@@ -112,19 +124,37 @@ fn simulated_crash(context: &str) -> ! {
 }
 
 /// A [`Vfs`] decorator that applies a [`DiskFaultPlan`] to every durable
-/// write. Reads, listings and removals pass through untouched — read-side
-/// corruption is modelled by mutating files directly (the conformance
-/// oracle's job), not by lying on the read path.
+/// write and append, counted in one sequence. Reads, listings and
+/// removals pass through untouched — read-side corruption is modelled by
+/// mutating files directly (the conformance oracle's job), not by lying
+/// on the read path.
 pub struct FaultVfs {
     inner: Arc<dyn Vfs>,
     plan: DiskFaultPlan,
-    /// Durable-write sequence number, 1-based, per store instance.
+    /// Durable-operation sequence number (writes and appends), 1-based,
+    /// per store instance.
     writes: AtomicU64,
     /// Total bytes accepted, for the `enospc-after-N` budget.
     accepted: AtomicU64,
     /// Set when the current write's crash point is [`CrashPoint::AfterCommit`]:
     /// the following commit rename completes, then the process dies.
     crash_after_rename: AtomicBool,
+}
+
+/// The two durable operations a plan applies to.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum DurableOp {
+    Write,
+    Append,
+}
+
+impl DurableOp {
+    fn name(self) -> &'static str {
+        match self {
+            DurableOp::Write => "write",
+            DurableOp::Append => "append",
+        }
+    }
 }
 
 impl FaultVfs {
@@ -139,7 +169,7 @@ impl FaultVfs {
         }
     }
 
-    /// Durable writes issued so far through this instance.
+    /// Durable writes and appends issued so far through this instance.
     pub fn write_count(&self) -> u64 {
         self.writes.load(Ordering::SeqCst)
     }
@@ -150,35 +180,37 @@ impl FaultVfs {
             .unwrap_or("")
             .to_string()
     }
-}
 
-impl Vfs for FaultVfs {
-    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-        self.inner.create_dir_all(dir)
+    fn land(&self, op: DurableOp, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        match op {
+            DurableOp::Write => self.inner.write(path, bytes),
+            DurableOp::Append => self.inner.append(path, bytes),
+        }
     }
 
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        self.inner.read(path)
-    }
-
-    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
-        self.inner.list(dir)
-    }
-
-    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    /// One durable operation under the plan. A write and an append differ
+    /// only in how bytes land and in what "after" means at the crash
+    /// point: a write is committed by the rename that follows it, an
+    /// append by its own fsync.
+    fn durable(&self, op: DurableOp, path: &Path, bytes: &[u8]) -> io::Result<()> {
         let seq = self.writes.fetch_add(1, Ordering::SeqCst) + 1;
         let name = Self::file_name(path);
+        let what = op.name();
 
         match self.plan.crash_point(seq) {
             Some(CrashPoint::BeforeWrite) => {
-                simulated_crash(&format!("write {seq} ({name}): before-write"));
+                simulated_crash(&format!("{what} {seq} ({name}): before-{what}"));
             }
             Some(CrashPoint::MidWrite) => {
                 let torn = self.plan.crash_torn_prefix(seq, bytes.len());
-                let _ = self.inner.write(path, &bytes[..torn]);
+                let _ = self.land(op, path, &bytes[..torn]);
                 simulated_crash(&format!(
-                    "write {seq} ({name}): mid-write after {torn} bytes"
+                    "{what} {seq} ({name}): mid-{what} after {torn} bytes"
                 ));
+            }
+            Some(CrashPoint::AfterCommit) if op == DurableOp::Append => {
+                self.inner.append(path, bytes)?;
+                simulated_crash(&format!("append {seq} ({name}): after-append"));
             }
             Some(CrashPoint::AfterCommit) => {
                 self.crash_after_rename.store(true, Ordering::SeqCst);
@@ -202,16 +234,38 @@ impl Vfs for FaultVfs {
             if allowed < image.len() {
                 // A real full disk persists the prefix that fit before
                 // failing; model that so readers face a torn file too.
-                let _ = self.inner.write(path, &image[..allowed]);
+                let _ = self.land(op, path, &image[..allowed]);
                 return Err(io::Error::other(format!(
-                    "synthetic ENOSPC: write {seq} ({name}) of {} bytes exceeds the \
+                    "synthetic ENOSPC: {what} {seq} ({name}) of {} bytes exceeds the \
                      {budget}-byte device budget",
                     image.len()
                 )));
             }
         }
 
-        self.inner.write(path, &image)
+        self.land(op, path, &image)
+    }
+}
+
+impl Vfs for FaultVfs {
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        self.inner.create_dir_all(dir)
+    }
+
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.inner.read(path)
+    }
+
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+        self.inner.list(dir)
+    }
+
+    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.durable(DurableOp::Write, path, bytes)
+    }
+
+    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.durable(DurableOp::Append, path, bytes)
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {

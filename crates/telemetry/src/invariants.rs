@@ -174,18 +174,26 @@ pub fn phash_index_invariants() -> InvariantSet {
 /// recovered from an older one, recomputed (cold start or stale
 /// config), or reported unrecoverable. A read that fell through the
 /// classifier without being accounted is exactly the "silent corruption
-/// fallback" failure mode this scope exists to rule out.
+/// fallback" failure mode this scope exists to rule out. Likewise every
+/// journal frame a load examined was either replayed or discarded
+/// (torn, corrupt, or after one that was) — never silently skipped.
 pub fn durability_invariants() -> InvariantSet {
-    InvariantSet::new().with(Invariant::sum_eq(
-        "durability.reads_accounted",
-        &["durability.reads"],
-        &[
-            "durability.valid",
-            "durability.recovered",
-            "durability.recomputed",
-            "durability.unrecoverable",
-        ],
-    ))
+    InvariantSet::new()
+        .with(Invariant::sum_eq(
+            "durability.reads_accounted",
+            &["durability.reads"],
+            &[
+                "durability.valid",
+                "durability.recovered",
+                "durability.recomputed",
+                "durability.unrecoverable",
+            ],
+        ))
+        .with(Invariant::sum_eq(
+            "durability.frames_accounted",
+            &["durability.frames_read"],
+            &["durability.frames_applied", "durability.frames_discarded"],
+        ))
 }
 
 /// Every identity the batch pipeline must satisfy end-to-end — what

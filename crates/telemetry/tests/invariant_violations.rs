@@ -3,6 +3,7 @@
 //! just a boolean, so an operator can see *which* side leaked and by how
 //! much.
 
+use squatphi_telemetry::invariants::durability_invariants;
 use squatphi_telemetry::{Invariant, InvariantSet, Snapshot, Term, Value};
 
 fn snap(entries: &[(&str, u64)]) -> Snapshot {
@@ -77,4 +78,40 @@ fn check_all_collects_every_violation() {
     // Fixing one identity is not enough: broken_b still fails.
     let fixed_a = snap(&[("x", 7), ("seven", 7), ("three", 3)]);
     assert_eq!(set.check_all(&fixed_a).unwrap_err().len(), 1);
+}
+
+#[test]
+fn a_journal_frame_neither_applied_nor_discarded_is_caught() {
+    // A resume that examined 9 frames, replayed 7 and dropped the torn
+    // tail reconciles; one that lost track of a frame does not, and the
+    // read-accounting identity beside it is reported independently.
+    let set = durability_invariants();
+    let sound = snap(&[
+        ("durability.reads", 1),
+        ("durability.valid", 1),
+        ("durability.frames_read", 9),
+        ("durability.frames_applied", 8),
+        ("durability.frames_discarded", 1),
+    ]);
+    assert!(set.all_hold(&sound));
+    let leaked = snap(&[
+        ("durability.reads", 1),
+        ("durability.valid", 1),
+        ("durability.frames_read", 9),
+        ("durability.frames_applied", 7),
+        ("durability.frames_discarded", 1),
+    ]);
+    let violations = set
+        .check_all(&leaked)
+        .expect_err("one frame is unaccounted");
+    assert_eq!(violations.len(), 1);
+    assert_eq!(violations[0].invariant, "durability.frames_accounted");
+    assert_eq!((violations[0].lhs_total, violations[0].rhs_total), (9, 8));
+    assert_eq!(
+        violations[0].rhs,
+        vec![
+            ("durability.frames_applied".to_string(), 7),
+            ("durability.frames_discarded".to_string(), 1)
+        ]
+    );
 }
