@@ -205,9 +205,9 @@ fn legacy_reference_scan(
         invalid: 0,
     };
     let mut seen = std::collections::HashSet::new();
-    for r in store.records() {
+    for (name, ip) in store.iter() {
         out.scanned += 1;
-        let Ok(domain) = DomainName::parse(&r.domain) else {
+        let Ok(domain) = DomainName::parse(name) else {
             out.invalid += 1;
             continue;
         };
@@ -217,7 +217,7 @@ fn legacy_reference_scan(
                 out.by_brand[m.brand] += 1;
                 out.matches.push(squatphi_dnsdb::SquatRecord {
                     domain,
-                    ip: r.ip,
+                    ip,
                     brand: m.brand,
                     squat_type: m.squat_type,
                 });

@@ -8,7 +8,8 @@
 //! * [`synth`] — deterministic snapshot generator: a haystack of benign
 //!   domains with planted squatting populations drawn with the paper's
 //!   brand skew and type mix (combo 56%, typo 25%, …),
-//! * [`store`] — the in-memory record store (domain → A record),
+//! * [`store`] — the columnar in-memory record store (domain → A record)
+//!   and its parallel zone-text import,
 //! * [`mod@scan`] — multi-threaded scan engine running the
 //!   [`squatphi_squat::SquatDetector`] over every record (Figure 2),
 //! * [`probe`] — the active-probing path: an authoritative UDP server
@@ -32,5 +33,5 @@ pub use scan::{
     scan, scan_with_metrics, try_scan_with_metrics, ScanError, ScanMetrics, ScanOutcome,
     SquatRecord, WorkerMetrics,
 };
-pub use store::{DnsRecord, RecordStore};
+pub use store::RecordStore;
 pub use synth::{SnapshotConfig, SnapshotStats};

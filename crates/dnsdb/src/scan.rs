@@ -337,7 +337,7 @@ pub fn try_scan_with_metrics(
     detector: &SquatDetector,
     threads: usize,
 ) -> Result<(ScanOutcome, ScanMetrics), ScanError> {
-    try_scan_impl(store.records(), registry.len(), detector, threads)
+    try_scan_impl(store, registry.len(), detector, threads)
 }
 
 /// What one scheduler block contributes. Per-type / per-brand counters
@@ -351,7 +351,7 @@ struct BlockPartial {
 }
 
 fn try_scan_impl<C: Classify>(
-    records: &[crate::store::DnsRecord],
+    store: &RecordStore,
     brand_count: usize,
     classifier: &C,
     threads: usize,
@@ -366,15 +366,15 @@ fn try_scan_impl<C: Classify>(
         requested_workers: requested,
         ..ScanMetrics::default()
     };
-    if records.is_empty() {
+    if store.is_empty() {
         metrics.wall = start.elapsed();
         return Ok((out, metrics));
     }
 
     // ≥4 blocks per requested worker so the cursor has slack to balance,
     // capped so snapshot-sized stores rebalance often.
-    let block = records.len().div_ceil(requested * 4).clamp(1, MAX_BLOCK);
-    let blocks = records.len().div_ceil(block);
+    let block = store.len().div_ceil(requested * 4).clamp(1, MAX_BLOCK);
+    let blocks = store.len().div_ceil(block);
     let workers = requested.min(blocks);
 
     let cursor = AtomicUsize::new(0);
@@ -406,13 +406,11 @@ fn try_scan_impl<C: Classify>(
             }
             let b = cursor.fetch_add(1, Ordering::Relaxed);
             let lo = b * block;
-            if lo >= records.len() {
+            if lo >= store.len() {
                 break;
             }
-            let hi = (lo + block).min(records.len());
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                scan_block(&records[lo..hi], classifier)
-            }));
+            let hi = (lo + block).min(store.len());
+            let run = catch_unwind(AssertUnwindSafe(|| scan_block(store, lo..hi, classifier)));
             match run {
                 Ok((partial, stats)) => {
                     wm.records += partial.scanned;
@@ -501,7 +499,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 fn scan_block<C: Classify>(
-    records: &[crate::store::DnsRecord],
+    store: &RecordStore,
+    block: std::ops::Range<usize>,
     classifier: &C,
 ) -> (BlockPartial, ClassifyStats) {
     let mut out = BlockPartial::default();
@@ -510,9 +509,10 @@ fn scan_block<C: Classify>(
     // block (parse → classify → recover), so the common miss performs no
     // heap allocation at all.
     let mut buf = String::new();
-    for r in records {
+    for i in block {
+        let (name, ip) = store.record(i);
         out.scanned += 1;
-        let domain = match DomainName::parse_reuse(&r.domain, std::mem::take(&mut buf)) {
+        let domain = match DomainName::parse_reuse(name, std::mem::take(&mut buf)) {
             Ok(d) => d,
             Err(_) => {
                 out.invalid += 1;
@@ -522,7 +522,7 @@ fn scan_block<C: Classify>(
         match classifier.classify_record(&domain, &mut stats) {
             Some(m) => out.matches.push(SquatRecord {
                 domain,
-                ip: r.ip,
+                ip,
                 brand: m.brand,
                 squat_type: m.squat_type,
             }),
@@ -599,15 +599,15 @@ mod tests {
         let reg = BrandRegistry::with_size(10);
         let det = SquatDetector::new(&reg);
         let mut store = RecordStore::new();
-        store.push("mail.goofle.com".into(), Ipv4Addr::new(9, 9, 9, 9));
+        store.push("mail.goofle.com", Ipv4Addr::new(9, 9, 9, 9));
         for i in 0..40u8 {
             store.push(
-                format!("filler-{i}.example.com"),
+                &format!("filler-{i}.example.com"),
                 Ipv4Addr::new(10, 0, 0, i),
             );
         }
-        store.push("goofle.com".into(), Ipv4Addr::new(1, 1, 1, 1));
-        store.push("www.goofle.com".into(), Ipv4Addr::new(2, 2, 2, 2));
+        store.push("goofle.com", Ipv4Addr::new(1, 1, 1, 1));
+        store.push("www.goofle.com", Ipv4Addr::new(2, 2, 2, 2));
         for threads in [1, 2, 3, 7, 16] {
             let (out, metrics) = scan_with_metrics(&store, &reg, &det, threads);
             assert_eq!(out.total_matches(), 1, "threads={threads}");
@@ -653,7 +653,7 @@ mod tests {
         let mut store = RecordStore::new();
         for i in 0..9u8 {
             store.push(
-                format!("record-{i}.example.com"),
+                &format!("record-{i}.example.com"),
                 Ipv4Addr::new(10, 0, 0, i),
             );
         }
@@ -666,8 +666,8 @@ mod tests {
         // Fewer records than workers: spawning beyond the block count
         // would idle threads, so actual < requested — and is reported.
         let mut tiny = RecordStore::new();
-        tiny.push("one.example.com".into(), Ipv4Addr::new(1, 1, 1, 1));
-        tiny.push("two.example.com".into(), Ipv4Addr::new(1, 1, 1, 2));
+        tiny.push("one.example.com", Ipv4Addr::new(1, 1, 1, 1));
+        tiny.push("two.example.com", Ipv4Addr::new(1, 1, 1, 2));
         let (_, metrics) = scan_with_metrics(&tiny, &reg, &det, 8);
         assert_eq!(metrics.requested_workers, 8);
         assert_eq!(metrics.actual_workers(), 2);
@@ -703,17 +703,11 @@ mod tests {
                 None
             }
         }
-        let mut records = Vec::new();
+        let mut store = RecordStore::new();
         for i in 0..100u8 {
-            records.push(crate::store::DnsRecord {
-                domain: format!("fine-{i}.example.com"),
-                ip: Ipv4Addr::new(10, 0, 0, i),
-            });
+            store.push(&format!("fine-{i}.example.com"), Ipv4Addr::new(10, 0, 0, i));
         }
-        records.push(crate::store::DnsRecord {
-            domain: "poisoned-record.com".into(),
-            ip: Ipv4Addr::new(9, 9, 9, 9),
-        });
+        store.push("poisoned-record.com", Ipv4Addr::new(9, 9, 9, 9));
         // Silence the default panic hook's backtrace spam for the
         // intentional panic (other tests run in other processes only for
         // integration tests, but hooks are global — restore after).
@@ -721,7 +715,7 @@ mod tests {
         // intentional worker panic; restore it before asserting.
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let result = try_scan_impl(&records, 5, &Trap, 4);
+        let result = try_scan_impl(&store, 5, &Trap, 4);
         std::panic::set_hook(prev);
         let err = result.unwrap_err();
         assert!(err.cause.contains("injected classifier fault"), "{err}");
@@ -736,9 +730,9 @@ mod tests {
         let reg = BrandRegistry::with_size(10);
         let det = SquatDetector::new(&reg);
         let mut store = RecordStore::new();
-        store.push("goofle.com".into(), Ipv4Addr::new(1, 1, 1, 1));
-        store.push("www.goofle.com".into(), Ipv4Addr::new(2, 2, 2, 2));
-        store.push("mail.goofle.com".into(), Ipv4Addr::new(3, 3, 3, 3));
+        store.push("goofle.com", Ipv4Addr::new(1, 1, 1, 1));
+        store.push("www.goofle.com", Ipv4Addr::new(2, 2, 2, 2));
+        store.push("mail.goofle.com", Ipv4Addr::new(3, 3, 3, 3));
         let out = scan(&store, &reg, &det, 2);
         assert_eq!(out.total_matches(), 1);
         assert_eq!(out.count(SquatType::Bits), 1);
@@ -749,8 +743,8 @@ mod tests {
         let reg = BrandRegistry::with_size(5);
         let det = SquatDetector::new(&reg);
         let mut store = RecordStore::new();
-        store.push("not a domain".into(), Ipv4Addr::new(1, 1, 1, 1));
-        store.push("paypal-login.com".into(), Ipv4Addr::new(1, 1, 1, 2));
+        store.push("not a domain", Ipv4Addr::new(1, 1, 1, 1));
+        store.push("paypal-login.com", Ipv4Addr::new(1, 1, 1, 2));
         let out = scan(&store, &reg, &det, 1);
         assert_eq!(out.invalid, 1);
         assert_eq!(out.total_matches(), 1);

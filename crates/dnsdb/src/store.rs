@@ -1,25 +1,35 @@
 //! The in-memory DNS record store.
 //!
-//! An ActiveDNS record is essentially `(domain, IP)`; the store keeps the
-//! snapshot as a flat vector (the scan is a linear pass) plus an optional
-//! hash index for the probe server's point lookups.
+//! An ActiveDNS record is essentially `(domain, IP)`. The store keeps the
+//! snapshot in columns — every domain back to back in one name arena, an
+//! end offset per record, an address per record — so a record costs its
+//! name bytes plus 12 bytes and no allocation of its own, and the scan's
+//! linear pass reads memory in order. The probe server's point lookups get
+//! an optional hash index.
 
+use squatphi_dnswire::zone::{self, ZoneError};
+use squatphi_dnswire::RData;
+use squatphi_telemetry::par_map;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-/// One DNS record of the snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DnsRecord {
-    /// Fully-qualified ASCII domain (possibly with subdomain labels).
-    pub domain: String,
-    /// The A record the probe resolved to.
-    pub ip: Ipv4Addr,
-}
+/// Bytes of zone text one import task parses at least (~25k lines of
+/// `to_zone` output). One costs ~5 ms to parse against a ~50 µs thread
+/// spawn (DESIGN.md §5); a zone no longer than this is one chunk, which
+/// [`par_map`] parses on the calling thread.
+const ZONE_GRAIN: usize = 1 << 20;
 
-/// The snapshot: a flat, scan-friendly collection of records.
-#[derive(Debug, Default, Clone)]
+/// The snapshot: `(domain, IP)` records in three columns.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct RecordStore {
-    records: Vec<DnsRecord>,
+    /// Every domain, back to back. Offsets are `usize`: paper scale is
+    /// ~3.8 GB of names.
+    names: String,
+    /// `ends[i]` is where domain `i` stops in `names`; it starts where
+    /// domain `i - 1` stops.
+    ends: Vec<usize>,
+    /// `ips[i]` is domain `i`'s A record.
+    ips: Vec<Ipv4Addr>,
 }
 
 impl RecordStore {
@@ -28,68 +38,146 @@ impl RecordStore {
         Self::default()
     }
 
-    /// Store with pre-allocated capacity.
+    /// Store with room for `n` records (their names grow the arena).
     pub fn with_capacity(n: usize) -> Self {
         RecordStore {
-            records: Vec::with_capacity(n),
+            names: String::new(),
+            ends: Vec::with_capacity(n),
+            ips: Vec::with_capacity(n),
         }
     }
 
     /// Appends a record.
-    pub fn push(&mut self, domain: String, ip: Ipv4Addr) {
-        self.records.push(DnsRecord { domain, ip });
+    pub fn push(&mut self, domain: &str, ip: Ipv4Addr) {
+        self.names.push_str(domain);
+        self.ends.push(self.names.len());
+        self.ips.push(ip);
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.ips.len()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.ips.is_empty()
     }
 
-    /// All records.
-    pub fn records(&self) -> &[DnsRecord] {
-        &self.records
+    /// Record `i` as `(domain, ip)`, or `None` past the end.
+    pub fn get(&self, i: usize) -> Option<(&str, Ipv4Addr)> {
+        (i < self.len()).then(|| self.record(i))
+    }
+
+    /// Every record in store order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&str, Ipv4Addr)> + '_ {
+        (0..self.len()).map(|i| self.record(i))
+    }
+
+    /// Record `i`; panics past the end.
+    pub(crate) fn record(&self, i: usize) -> (&str, Ipv4Addr) {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        (&self.names[start..self.ends[i]], self.ips[i])
     }
 
     /// Builds a point-lookup index (domain → IP) for the probe server.
     pub fn index(&self) -> HashMap<String, Ipv4Addr> {
-        self.records
-            .iter()
-            .map(|r| (r.domain.clone(), r.ip))
-            .collect()
+        self.iter().map(|(d, ip)| (d.to_string(), ip)).collect()
     }
 
     /// Exports the snapshot as zone-file text (A records, fixed TTL) —
     /// human-diffable fixtures for tests and offline analysis.
     pub fn to_zone(&self) -> String {
-        let records: Vec<squatphi_dnswire::ResourceRecord> = self
-            .records
-            .iter()
-            .map(|r| squatphi_dnswire::ResourceRecord {
-                name: r.domain.clone(),
-                ttl: 300,
-                rdata: squatphi_dnswire::RData::A(r.ip),
-            })
-            .collect();
-        squatphi_dnswire::zone::format_zone(&records)
+        let mut out =
+            String::with_capacity(self.names.len() + self.len() * zone::A_LINE_MAX_OVERHEAD);
+        for (domain, ip) in self.iter() {
+            zone::write_record(&mut out, domain, 300, &RData::A(ip));
+        }
+        out
     }
 
     /// Imports a snapshot from zone-file text. Non-A records are ignored
     /// (the scan only consumes name/IP pairs).
-    pub fn from_zone(text: &str) -> Result<Self, squatphi_dnswire::zone::ZoneError> {
-        let mut store = RecordStore::new();
-        for rr in squatphi_dnswire::zone::parse_zone(text)? {
-            if let squatphi_dnswire::RData::A(ip) = rr.rdata {
-                store.push(rr.name, ip);
+    ///
+    /// The text is cut just after a `\n` into ~1 MiB chunks that parse on
+    /// [`par_map`] with one worker per available core, and the chunks'
+    /// columns are appended in text order. A malformed line fails the
+    /// import with the error the earliest failing chunk hit, numbered from
+    /// the start of `text` — the error a one-pass parse reports.
+    pub fn from_zone(text: &str) -> Result<Self, ZoneError> {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Self::import(text, ZONE_GRAIN, workers)
+    }
+
+    fn import(text: &str, grain: usize, workers: usize) -> Result<Self, ZoneError> {
+        let cuts = line_cuts(text, grain);
+        let chunks = par_map(cuts.len() - 1, workers, 1, |i| {
+            let mut chunk = RecordStore::new();
+            zone::for_each_record(&text[cuts[i]..cuts[i + 1]], |name, _, rdata| {
+                if let RData::A(ip) = rdata {
+                    chunk.push(name, ip);
+                }
+            })
+            .map(|lines| (chunk, lines))
+        });
+        let mut parts = Vec::with_capacity(chunks.len());
+        let mut lines_before = 0;
+        for chunk in chunks {
+            match chunk {
+                Ok((part, lines)) => {
+                    parts.push(part);
+                    lines_before += lines;
+                }
+                Err(ZoneError::BadLine { line, reason }) => {
+                    return Err(ZoneError::BadLine {
+                        line: lines_before + line,
+                        reason,
+                    })
+                }
             }
         }
-        Ok(store)
+        Ok(Self::concat(parts))
+    }
+
+    /// One store holding `parts`' records in order. It is reserved whole
+    /// up front, so each part is freed as soon as it has been copied.
+    fn concat(parts: Vec<RecordStore>) -> Self {
+        let records = parts.iter().map(RecordStore::len).sum();
+        let mut store = RecordStore {
+            names: String::with_capacity(parts.iter().map(|p| p.names.len()).sum()),
+            ends: Vec::with_capacity(records),
+            ips: Vec::with_capacity(records),
+        };
+        for part in parts {
+            let base = store.names.len();
+            store.names.push_str(&part.names);
+            store.ends.extend(part.ends.iter().map(|end| base + end));
+            store.ips.extend_from_slice(&part.ips);
+        }
+        store
     }
 }
+
+/// Byte offsets `[0, …, text.len()]` that cut `text` into chunks of at
+/// least `grain` (≥ 1) bytes, each ending just after a `\n` (the last one
+/// at the end of the text).
+fn line_cuts(text: &str, grain: usize) -> Vec<usize> {
+    let bytes = text.as_bytes();
+    let mut cuts = vec![0];
+    let mut at = 0;
+    while at < bytes.len() {
+        let min_end = (at + grain).min(bytes.len());
+        at = bytes[min_end - 1..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(bytes.len(), |newline| min_end + newline);
+        cuts.push(at);
+    }
+    cuts
+}
+
+#[cfg(test)]
+mod zone_tests;
 
 #[cfg(test)]
 mod tests {
@@ -99,16 +187,25 @@ mod tests {
     fn push_and_len() {
         let mut s = RecordStore::new();
         assert!(s.is_empty());
-        s.push("a.com".into(), Ipv4Addr::new(1, 2, 3, 4));
-        s.push("b.com".into(), Ipv4Addr::new(5, 6, 7, 8));
+        s.push("a.com", Ipv4Addr::new(1, 2, 3, 4));
+        s.push("b.com", Ipv4Addr::new(5, 6, 7, 8));
         assert_eq!(s.len(), 2);
-        assert_eq!(s.records()[1].domain, "b.com");
+        assert_eq!(s.get(0), Some(("a.com", Ipv4Addr::new(1, 2, 3, 4))));
+        assert_eq!(s.get(1), Some(("b.com", Ipv4Addr::new(5, 6, 7, 8))));
+        assert_eq!(s.get(2), None);
+        assert_eq!(
+            s.iter().collect::<Vec<_>>(),
+            [
+                ("a.com", Ipv4Addr::new(1, 2, 3, 4)),
+                ("b.com", Ipv4Addr::new(5, 6, 7, 8))
+            ]
+        );
     }
 
     #[test]
     fn index_maps_domains() {
         let mut s = RecordStore::new();
-        s.push("x.org".into(), Ipv4Addr::new(9, 9, 9, 9));
+        s.push("x.org", Ipv4Addr::new(9, 9, 9, 9));
         let idx = s.index();
         assert_eq!(idx.get("x.org"), Some(&Ipv4Addr::new(9, 9, 9, 9)));
         assert_eq!(idx.get("y.org"), None);
@@ -117,12 +214,12 @@ mod tests {
     #[test]
     fn zone_round_trip() {
         let mut s = RecordStore::new();
-        s.push("faceb00k.pw".into(), Ipv4Addr::new(203, 0, 113, 1));
-        s.push("www.goofle.com.ua".into(), Ipv4Addr::new(203, 0, 113, 2));
+        s.push("faceb00k.pw", Ipv4Addr::new(203, 0, 113, 1));
+        s.push("www.goofle.com.ua", Ipv4Addr::new(203, 0, 113, 2));
         let text = s.to_zone();
         assert!(text.contains("faceb00k.pw.\t300\tIN\tA\t203.0.113.1"));
         let back = RecordStore::from_zone(&text).expect("parse own output");
-        assert_eq!(back.records(), s.records());
+        assert_eq!(back, s);
     }
 
     #[test]
@@ -130,7 +227,7 @@ mod tests {
         let text = "a.com.\t60\tIN\tA\t1.2.3.4\nb.com.\t60\tIN\tCNAME\tc.com.\n";
         let s = RecordStore::from_zone(text).expect("valid zone");
         assert_eq!(s.len(), 1);
-        assert_eq!(s.records()[0].domain, "a.com");
+        assert_eq!(s.get(0), Some(("a.com", Ipv4Addr::new(1, 2, 3, 4))));
     }
 
     #[test]

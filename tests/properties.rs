@@ -245,19 +245,28 @@ proptest! {
     // ---- zone files ----------------------------------------------------------------
 
     #[test]
-    fn zone_round_trips_a_records(
+    fn zone_round_trips_a_and_txt_records(
         entries in proptest::collection::vec(
-            ("[a-z][a-z0-9-]{0,12}\\.(com|net|org)", any::<[u8; 4]>(), 1u32..1_000_000),
+            (
+                "[a-z][a-z0-9-]{0,12}\\.(com|net|org)",
+                any::<[u8; 4]>(),
+                1u32..1_000_000,
+                // TXT bodies, always holding a `;` (PR 25: it used to
+                // start a comment even inside the quotes).
+                "v=[a-z0-9 ;-]{0,12};[a-z0-9 ;-]{0,12}",
+                0u8..3,
+            ),
             0..20,
         )
     ) {
         use squatphi_dnswire::zone::{format_zone, parse_zone};
+        use squatphi_dnswire::RData;
         let records: Vec<squatphi_dnswire::ResourceRecord> = entries
             .iter()
-            .map(|(name, ip, ttl)| squatphi_dnswire::ResourceRecord {
+            .map(|(name, ip, ttl, txt, kind)| squatphi_dnswire::ResourceRecord {
                 name: name.clone(),
                 ttl: *ttl,
-                rdata: squatphi_dnswire::RData::A((*ip).into()),
+                rdata: if *kind == 0 { RData::Txt(txt.clone()) } else { RData::A((*ip).into()) },
             })
             .collect();
         let text = format_zone(&records);
