@@ -9,11 +9,16 @@
 # the import's chunk cuts. Outputs land in
 # target/determinism/<surface>-{a,b}.json and are left in
 # place so a job can upload them (the conformance report carries the
-# shrunk violating inputs). `watch` runs its `a` side at --threads 4 and
-# its `b` side at --threads 1, so the same `cmp` also proves the summary
-# does not depend on the thread count — on the seed-2020 stream whose
-# fingerprint once did, then on the interrupted run (--stop-after) as a
-# second pair (watch-stop-{a,b}.json).
+# shrunk violating inputs). `watch` and `repro` run their `a` side at
+# --threads 4 and their `b` side at --threads 1, so the same `cmp` also
+# proves the output does not depend on the thread count. `watch` does so
+# on the seed-2020 stream whose fingerprint once did, then on the
+# interrupted run (--stop-after) as a second pair (watch-stop-{a,b}.json);
+# `repro` on Table 7 (the cross-validation fan-out), then on the stdout
+# of Tables 3 and 4 as a second pair (repro-tables-{a,b}.txt) at
+# --scale 400: the smallest run (divisors tried in steps of 50) in which
+# both tables have tied rows, so their tie-break is what the cmp checks.
+# At 450 Table 3's two rows do not tie; at 400 each table ties five.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,24 +49,37 @@ big_zone() {
 
 squatphi() { cargo run --release -q -p squatphi-cli --bin squatphi -- "$@"; }
 
+# Where one side's output lands: JSON surfaces, or a report's stdout.
+out_file() {
+    case $1 in
+        repro-tables) echo "$out/$1-$2.txt" ;;
+        *) echo "$out/$1-$2.json" ;;
+    esac
+}
+
 run() {
-    local name=$1 side=$2 json=$out/$1-$2.json
-    local -A watch_threads=([a]=4 [b]=1) # only the watch surfaces vary it
+    local name=$1 side=$2 json
+    json=$(out_file "$1" "$2")
+    local -A threads=([a]=4 [b]=1) # only the watch and repro surfaces vary it
     case $name in
         scan) squatphi scan "$out/zone-big.txt" --json > "$json" ;;
         crawl) squatphi crawl "$zone" --threads 1 --chaos every-2 --seed 3 --json > "$json" ;;
         watch)
-            squatphi watch --seed 2020 --events 10000 --threads "${watch_threads[$side]}" \
+            squatphi watch --seed 2020 --events 10000 --threads "${threads[$side]}" \
                 --json > "$json"
             ;;
         watch-stop)
             squatphi watch --seed 7 --events 2000 --stop-after 900 \
-                --threads "${watch_threads[$side]}" --json > "$json"
+                --threads "${threads[$side]}" --json > "$json"
             ;;
         conformance) squatphi conformance --seed 1 --budget ci --json > "$json" ;;
         repro)
             cargo run --release -q -p squatphi-experiments --bin repro -- \
-                --scale 2000 --threads 1 --json "$json" table7
+                --scale 2000 --threads "${threads[$side]}" --json "$json" table7
+            ;;
+        repro-tables)
+            cargo run --release -q -p squatphi-experiments --bin repro -- \
+                --scale 400 --threads "${threads[$side]}" table3 table4 > "$json"
             ;;
         phash)
             BENCH_QUICK=1 cargo run --release -q -p squatphi-bench --bin phash_baseline -- \
@@ -78,15 +96,16 @@ compare() {
     local name=$1 note=
     run "$name" a
     run "$name" b
-    cmp "$out/$name-a.json" "$out/$name-b.json"
-    case $name in watch*) note=" (--threads 4 vs --threads 1)" ;; esac
-    echo "determinism: $name --json is two-run byte-identical$note"
+    cmp "$(out_file "$name" a)" "$(out_file "$name" b)"
+    case $name in watch* | repro*) note=" (--threads 4 vs --threads 1)" ;; esac
+    echo "determinism: $name output is two-run byte-identical$note"
 }
 
 if [ "$surface" = scan ]; then
     big_zone
 fi
 compare "$surface"
-if [ "$surface" = watch ]; then
-    compare watch-stop
-fi
+case $surface in
+    watch) compare watch-stop ;;
+    repro) compare repro-tables ;;
+esac

@@ -195,10 +195,12 @@ pub fn blacklist_coverage(result: &PipelineResult) -> (usize, usize, usize, usiz
 }
 
 /// Redirect league table (Tables 3-4): per brand, (domains with
-/// redirects, to-original, to-market, to-other), web profile.
+/// redirects, to-original, to-market, to-other), web profile. Rows run
+/// by descending redirect count, ties by ascending brand id, so the
+/// tables' stable sorts inherit a total order.
 pub fn redirect_league(result: &PipelineResult) -> Vec<(String, usize, usize, usize, usize)> {
     use squatphi_crawler::RedirectClass;
-    let mut per_brand: HashMap<usize, (usize, usize, usize, usize)> = HashMap::new();
+    let mut per_brand: BTreeMap<usize, (usize, usize, usize, usize)> = BTreeMap::new();
     for r in &result.crawl {
         if r.web.is_none() {
             continue;
@@ -276,6 +278,33 @@ mod tests {
         assert!(accumulated_share(&[0, 0]).is_empty());
     }
 
-    // The pipeline-dependent analyses are covered by the workspace-level
-    // integration suite (tests/end_to_end.rs) which shares one run.
+    #[test]
+    fn redirect_league_is_totally_ordered_and_repeatable() {
+        let result = crate::pipeline::tests::run();
+        let league = redirect_league(result);
+        assert!(
+            league.len() >= 2,
+            "tiny run has {} redirecting brands",
+            league.len()
+        );
+        let keys: Vec<(std::cmp::Reverse<usize>, usize)> = league
+            .iter()
+            .map(|row| {
+                let brand = result
+                    .registry
+                    .by_label(&row.0)
+                    .expect("league labels are brands");
+                (std::cmp::Reverse(row.1), brand.id)
+            })
+            .collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+        // Each call aggregates afresh (a HashMap would draw new hash keys).
+        for _ in 0..8 {
+            assert_eq!(redirect_league(result), league);
+        }
+    }
+
+    // The other pipeline-dependent analyses are covered by the
+    // workspace-level integration suite (tests/end_to_end.rs) which
+    // shares one run.
 }

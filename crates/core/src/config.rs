@@ -20,7 +20,7 @@ pub struct SimConfig {
     pub feed: FeedConfig,
     /// Brands monitored (the paper's 702).
     pub brands: usize,
-    /// Scan / crawl / feature-extraction worker threads.
+    /// Scan / crawl / feature-extraction / cross-validation worker threads.
     pub threads: usize,
     /// Number of "easy-to-confuse" benign squatting pages added to the
     /// training negatives (paper: 1,565).

@@ -200,11 +200,36 @@ impl FeatureExtractor {
     }
 
     /// Analyzes many pages in parallel (stage 1 of the batch executor),
-    /// in input order.
+    /// in input order. Only the first occurrence of each distinct HTML
+    /// string fans out; its repeats then run on the caller in index order,
+    /// where the cache serves them. Two copies of a page never race to a
+    /// miss on two workers, so the hit/miss split does not depend on the
+    /// thread count or the schedule.
     pub fn analyze_batch(&self, htmls: &[&str], threads: usize) -> Vec<Arc<PageArtifact>> {
-        par_map(htmls.len(), threads, ANALYZE_GRAIN, |i| {
-            self.analyzer.analyze(htmls[i])
+        // `first[i]`: the lowest index holding the same string as `i`.
+        // Sorting by length first settles most comparisons on one integer.
+        let mut order: Vec<usize> = (0..htmls.len()).collect();
+        order.sort_unstable_by_key(|&i| (htmls[i].len(), htmls[i], i));
+        let mut first = vec![0; htmls.len()];
+        for copies in order.chunk_by(|&a, &b| htmls[a] == htmls[b]) {
+            for &i in copies {
+                first[i] = copies[0];
+            }
+        }
+        let distinct: Vec<usize> = (0..htmls.len()).filter(|&i| first[i] == i).collect();
+        let mut fresh = par_map(distinct.len(), threads, ANALYZE_GRAIN, |j| {
+            self.analyzer.analyze(htmls[distinct[j]])
         })
+        .into_iter();
+        (0..htmls.len())
+            .map(|i| {
+                if first[i] == i {
+                    fresh.next().expect("one artifact per distinct page")
+                } else {
+                    self.analyzer.analyze(htmls[i])
+                }
+            })
+            .collect()
     }
 
     /// Extracts features for many pages: parallel analysis (stage 1),
@@ -372,6 +397,34 @@ mod tests {
                 fx.extract_batch(&refs, threads),
                 single,
                 "{threads}-thread batch diverged from sequential"
+            );
+        }
+    }
+
+    #[test]
+    fn hit_miss_split_is_the_same_at_every_thread_count() {
+        let reg = BrandRegistry::with_size(10);
+        // Eight copies of one page up front, where eight workers would
+        // each claim one at once, then a copy of another page among 16
+        // more: each copy after the first is a hit however workers run.
+        let corpus: Vec<String> = (0..24)
+            .map(|i| match i {
+                0..8 => pages::parked_page("b.com"),
+                8..16 => pages::benign_page("a.com", i % 5),
+                _ => pages::confusing_benign_page("c.com", Some("paypal"), i),
+            })
+            .collect();
+        let refs: Vec<&str> = corpus.iter().map(String::as_str).collect();
+        let distinct = refs.iter().collect::<std::collections::HashSet<_>>().len() as u64;
+        assert!(distinct <= 17);
+        for threads in [1, 2, 8] {
+            let fx = FeatureExtractor::new(&reg);
+            fx.analyze_batch(&refs, threads);
+            let m = fx.analyzer().metrics();
+            assert_eq!(
+                (m.pages, m.cache_misses, m.cache_hits),
+                (24, distinct, 24 - distinct),
+                "{threads} threads"
             );
         }
     }

@@ -568,7 +568,8 @@ impl SquatPhi {
                             )),
                         ));
                     }
-                    let eval = train::train_and_evaluate(&dataset, config.cv_folds, config.seed);
+                    let eval =
+                        train::evaluate(&dataset, config.cv_folds, config.seed, config.threads);
                     let model = train::fit_final_model(&dataset, config.seed);
                     if let Some(store) = &store {
                         store
@@ -808,12 +809,12 @@ fn detect_device(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     // One shared tiny run: the pipeline is the expensive object, so the
-    // integration-style assertions share it.
-    fn run() -> &'static PipelineResult {
+    // integration-style assertions (here and in `analysis`) share it.
+    pub(crate) fn run() -> &'static PipelineResult {
         use std::sync::OnceLock;
         static RESULT: OnceLock<PipelineResult> = OnceLock::new();
         RESULT.get_or_init(|| {

@@ -2,9 +2,10 @@
 
 use crate::features::FeatureExtractor;
 use squatphi_ml::{
-    cross_validate, Classifier, Dataset, GaussianNb, Knn, Metrics, RandomForest,
+    cross_validate_fold, Classifier, Dataset, GaussianNb, Knn, Metrics, RandomForest,
     RandomForestConfig, RocCurve,
 };
+use squatphi_telemetry::par_map;
 
 /// One evaluated model (a Table 7 row).
 #[derive(Debug, Clone)]
@@ -49,36 +50,64 @@ pub fn forest_config(seed: u64) -> RandomForestConfig {
     }
 }
 
+/// `par_map` grain of cross-validation: one (model, fold) fit-and-score
+/// job costs ≥ 1 ms against a ~50 µs spawn (DESIGN.md §5).
+const CV_GRAIN: usize = 1;
+
 /// Runs k-fold cross-validation of Naive Bayes, KNN and Random Forest on
-/// the ground-truth dataset (Table 7 / Figure 10).
+/// the ground-truth dataset (Table 7 / Figure 10), on one worker per
+/// available core.
 pub fn train_and_evaluate(data: &Dataset, folds: usize, seed: u64) -> EvalReport {
-    let mut models = Vec::new();
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    evaluate(data, folds, seed, workers)
+}
 
-    let nb = cross_validate(GaussianNb::new, data, folds, seed);
-    models.push(ModelEval {
-        name: "NaiveBayes",
-        metrics: Metrics::from_scores(&nb, 0.5),
-        roc: RocCurve::from_scores(&nb),
-    });
-
-    let knn = cross_validate(|| Knn::new(5), data, folds, seed);
-    models.push(ModelEval {
-        name: "KNN",
-        metrics: Metrics::from_scores(&knn, 0.5),
-        roc: RocCurve::from_scores(&knn),
-    });
-
-    let rf = cross_validate(|| RandomForest::new(forest_config(seed)), data, folds, seed);
-    models.push(ModelEval {
-        name: "RandomForest",
-        metrics: Metrics::from_scores(&rf, 0.5),
-        roc: RocCurve::from_scores(&rf),
-    });
-
+/// [`train_and_evaluate`] on up to `threads` workers (the pipeline passes
+/// `SimConfig::threads`, so `--threads 1` stays serial).
+pub(crate) fn evaluate(data: &Dataset, folds: usize, seed: u64, threads: usize) -> EvalReport {
+    let models = ["NaiveBayes", "KNN", "RandomForest"]
+        .into_iter()
+        .zip(pooled_cv_scores(data, folds, seed, threads))
+        .map(|(name, scores)| ModelEval {
+            name,
+            metrics: Metrics::from_scores(&scores, 0.5),
+            roc: RocCurve::from_scores(&scores),
+        })
+        .collect();
     EvalReport {
         models,
         train_shape: (data.positives(), data.len() - data.positives()),
     }
+}
+
+/// The held-out scores of NB, KNN and RF, each what
+/// [`squatphi_ml::cross_validate`] pools. The 3 × `folds` (model, fold)
+/// jobs are independent and run on `par_map`; each model's scores are
+/// concatenated in fold order, so the result is the same at every thread
+/// count.
+fn pooled_cv_scores(
+    data: &Dataset,
+    folds: usize,
+    seed: u64,
+    threads: usize,
+) -> [Vec<(f64, bool)>; 3] {
+    let fold_ids = data.stratified_folds(folds, seed);
+    // Jobs longest first — RF, KNN, NB — so the slow fits start first.
+    let scores = par_map(3 * folds, threads, CV_GRAIN, |job| {
+        let fold = job % folds;
+        match job / folds {
+            0 => cross_validate_fold(
+                RandomForest::new(forest_config(seed)),
+                data,
+                &fold_ids,
+                fold,
+            ),
+            1 => cross_validate_fold(Knn::new(5), data, &fold_ids, fold),
+            _ => cross_validate_fold(GaussianNb::new(), data, &fold_ids, fold),
+        }
+    });
+    let pooled = |model: usize| scores[model * folds..(model + 1) * folds].concat();
+    [pooled(2), pooled(1), pooled(0)]
 }
 
 /// Fits the production Random Forest on the full ground truth.
@@ -107,6 +136,7 @@ pub fn build_ground_truth(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use squatphi_ml::cross_validate;
     use squatphi_squat::BrandRegistry;
     use squatphi_web::pages;
 
@@ -169,6 +199,32 @@ mod tests {
                 .unwrap()
                 .name
         );
+    }
+
+    #[test]
+    fn pooled_scores_equal_serial_cross_validate_at_every_thread_count() {
+        let (_fx, data) = small_ground_truth();
+        let (folds, seed) = (5, 3);
+        let bits = |scores: &[(f64, bool)]| -> Vec<(u64, bool)> {
+            scores.iter().map(|&(s, y)| (s.to_bits(), y)).collect()
+        };
+        let serial = [
+            cross_validate(GaussianNb::new, &data, folds, seed),
+            cross_validate(|| Knn::new(5), &data, folds, seed),
+            cross_validate(
+                || RandomForest::new(forest_config(seed)),
+                &data,
+                folds,
+                seed,
+            ),
+        ];
+        for threads in [1, 2, 8] {
+            let pooled = pooled_cv_scores(&data, folds, seed, threads);
+            for (model, (p, s)) in pooled.iter().zip(&serial).enumerate() {
+                assert_eq!(p.len(), data.len());
+                assert_eq!(bits(p), bits(s), "model {model} at {threads} workers");
+            }
+        }
     }
 
     #[test]

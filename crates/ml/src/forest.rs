@@ -3,6 +3,16 @@
 //! Gini-impurity splits on densified features, bagging over bootstrap
 //! samples, and sqrt-feature subsampling per split — the standard Breiman
 //! recipe, which is what Table 7's winning model runs.
+//!
+//! `fit` densifies the training set once, feature-major (one contiguous
+//! column of `n` values per feature, zeros filled in), and each tree's
+//! bootstrap is a bag of row ids into it. Scoring a sampled feature at a
+//! node gathers the node's `(value, label)` pairs from that column once
+//! and counts every candidate threshold over the gathered buffer. The
+//! split rules themselves — 32 sample values as candidates, the RNG draw
+//! order, the `1e-12` improvement margin, partition order — are those of
+//! the sparse-vector builder this replaced, so a seed grows the same trees
+//! bit for bit (`forest::oracle` keeps that builder and checks it).
 
 use crate::{Classifier, Dataset};
 use rand::prelude::*;
@@ -83,11 +93,54 @@ impl Tree {
     }
 }
 
-/// Index-based view of the training data used during tree construction.
+/// The training set as the split search reads it: feature `f`'s value for
+/// sample `i` is `values[f * n + i]` (0.0 where the sparse vector has no
+/// entry), so one feature of a node is a gather from one contiguous
+/// column instead of a binary search per sample.
+struct Columns {
+    n: usize,
+    values: Vec<f64>,
+    labels: Vec<bool>,
+}
+
+impl Columns {
+    fn new(data: &Dataset) -> Self {
+        let (n, dim) = (data.len(), data.dim());
+        let mut values = vec![0.0; n * dim];
+        for (i, (x, _)) in data.iter().enumerate() {
+            // Entries at or past `dim` are never split on.
+            for &(f, v) in x.entries().iter().take_while(|e| e.0 < dim) {
+                values[f * n + i] = v;
+            }
+        }
+        Columns {
+            n,
+            values,
+            labels: data.iter().map(|(_, y)| y).collect(),
+        }
+    }
+
+    fn column(&self, f: usize) -> &[f64] {
+        &self.values[f * self.n..(f + 1) * self.n]
+    }
+}
+
+/// Bagging: `n` row ids drawn with replacement, one `gen_range` each.
+fn bootstrap(n: usize, rng: &mut StdRng) -> Vec<usize> {
+    (0..n).map(|_| rng.gen_range(0..n)).collect()
+}
+
+/// Grows one tree over a bag of row ids of [`Columns`].
 struct Builder<'a> {
-    data: &'a Dataset,
+    data: &'a Columns,
     cfg: &'a RandomForestConfig,
     features: usize,
+    /// Scratch reused across nodes: the sampled values a feature's
+    /// candidate thresholds come from, and the node's values and labels
+    /// for that feature.
+    candidates: Vec<f64>,
+    values: Vec<f64>,
+    labels: Vec<bool>,
 }
 
 impl Builder<'_> {
@@ -100,13 +153,14 @@ impl Builder<'_> {
     }
 
     fn build(
-        &self,
+        &mut self,
         idx: &mut [usize],
         depth: usize,
         rng: &mut StdRng,
         nodes: &mut Vec<TreeNode>,
     ) -> usize {
-        let pos = idx.iter().filter(|&&i| self.data.y(i)).count();
+        let data = self.data;
+        let pos = idx.iter().filter(|&&i| data.labels[i]).count();
         let total = idx.len();
         let make_leaf = |nodes: &mut Vec<TreeNode>| {
             nodes.push(TreeNode::Leaf {
@@ -132,27 +186,27 @@ impl Builder<'_> {
         let parent_gini = Self::gini(pos, total);
         for _ in 0..m {
             let f = rng.gen_range(0..self.features);
+            let column = data.column(f);
             // Candidate thresholds: a few sample values of this feature.
-            let mut values: Vec<f64> = idx
-                .iter()
-                .take(32)
-                .map(|&i| self.data.x(i).get(f))
-                .collect();
-            values.sort_by(f64::total_cmp);
-            values.dedup();
-            if values.len() < 2 {
+            let candidates = &mut self.candidates;
+            candidates.clear();
+            candidates.extend(idx.iter().take(32).map(|&i| column[i]));
+            candidates.sort_by(f64::total_cmp);
+            candidates.dedup();
+            if candidates.len() < 2 {
                 continue;
             }
-            for w in values.windows(2) {
+            self.values.clear();
+            self.values.extend(idx.iter().map(|&i| column[i]));
+            self.labels.clear();
+            self.labels.extend(idx.iter().map(|&i| data.labels[i]));
+            for w in self.candidates.windows(2) {
                 let threshold = (w[0] + w[1]) / 2.0;
                 let (mut lp, mut lt) = (0usize, 0usize);
-                for &i in idx.iter() {
-                    if self.data.x(i).get(f) <= threshold {
-                        lt += 1;
-                        if self.data.y(i) {
-                            lp += 1;
-                        }
-                    }
+                for (&v, &y) in self.values.iter().zip(&self.labels) {
+                    let left = v <= threshold;
+                    lt += usize::from(left);
+                    lp += usize::from(left & y);
                 }
                 let (rt, rp) = (total - lt, pos - lp);
                 if lt == 0 || rt == 0 {
@@ -168,9 +222,9 @@ impl Builder<'_> {
         let Some((feature, threshold, _)) = best else {
             return make_leaf(nodes);
         };
-        let (mut left_idx, mut right_idx): (Vec<usize>, Vec<usize>) = idx
-            .iter()
-            .partition(|&&i| self.data.x(i).get(feature) <= threshold);
+        let column = data.column(feature);
+        let (mut left_idx, mut right_idx): (Vec<usize>, Vec<usize>) =
+            idx.iter().partition(|&&i| column[i] <= threshold);
         let at = nodes.len();
         nodes.push(TreeNode::Leaf { p_pos: 0.5 }); // placeholder
         let left = self.build(&mut left_idx, depth + 1, rng, nodes);
@@ -320,19 +374,22 @@ impl Classifier for RandomForest {
         if data.is_empty() {
             return;
         }
+        let columns = Columns::new(data);
+        let mut builder = Builder {
+            data: &columns,
+            cfg: &self.cfg,
+            features: data.dim(),
+            candidates: Vec::with_capacity(32),
+            values: Vec::with_capacity(data.len()),
+            labels: Vec::with_capacity(data.len()),
+        };
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         for _ in 0..self.cfg.trees {
-            let bag = data.bootstrap(&mut rng);
-            let builder = Builder {
-                data: &bag,
-                cfg: &self.cfg,
-                features: data.dim(),
-            };
-            let mut idx: Vec<usize> = (0..bag.len()).collect();
+            let mut bag = bootstrap(data.len(), &mut rng);
             let mut nodes = Vec::new();
             // The root lands at index 0 because build pushes it first (the
             // placeholder trick keeps child order stable for splits).
-            builder.build(&mut idx, 0, &mut rng, &mut nodes);
+            builder.build(&mut bag, 0, &mut rng, &mut nodes);
             self.trees.push(Tree { nodes });
         }
     }
@@ -348,6 +405,9 @@ impl Classifier for RandomForest {
         "RandomForest"
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -453,6 +513,14 @@ mod tests {
         assert!(RandomForest::decode("rf2 1 1 1 0 0").is_err());
         assert!(RandomForest::decode("rf1 1 1 1 0 0\nT 2\nL 0").is_err());
         assert!(RandomForest::decode("rf1 1 1 1 0 0\nT 1\nS 0 0 5 6").is_err());
+    }
+
+    #[test]
+    fn bootstrap_same_size() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let bag = bootstrap(40, &mut rng);
+        assert_eq!(bag.len(), 40);
+        assert!(bag.iter().all(|&i| i < 40));
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub trait Classifier {
 }
 
 /// Runs stratified k-fold cross-validation, returning the pooled scores
-/// and labels (for ROC) of every held-out sample.
+/// and labels (for ROC) of every held-out sample, fold by fold.
 pub fn cross_validate<C: Classifier>(
     model_factory: impl Fn() -> C,
     data: &Dataset,
@@ -60,16 +60,24 @@ pub fn cross_validate<C: Classifier>(
     seed: u64,
 ) -> Vec<(f64, bool)> {
     let folds = data.stratified_folds(k, seed);
-    let mut pooled = Vec::with_capacity(data.len());
-    for fold in 0..k {
-        let (train, test) = data.split_fold(&folds, fold);
-        let mut model = model_factory();
-        model.fit(&train);
-        for i in 0..test.len() {
-            pooled.push((model.score(test.x(i)), test.y(i)));
-        }
-    }
-    pooled
+    (0..k)
+        .flat_map(|fold| cross_validate_fold(model_factory(), data, &folds, fold))
+        .collect()
+}
+
+/// One fold of [`cross_validate`]: fits a fresh `model` on every sample
+/// whose fold id (from [`Dataset::stratified_folds`]) is not `fold`, then
+/// scores the held-out samples in dataset order. Folds are independent,
+/// so callers may run them concurrently and concatenate in fold order.
+pub fn cross_validate_fold<C: Classifier>(
+    mut model: C,
+    data: &Dataset,
+    folds: &[usize],
+    fold: usize,
+) -> Vec<(f64, bool)> {
+    let (train, test) = data.split_fold(folds, fold);
+    model.fit(&train);
+    test.iter().map(|(x, y)| (model.score(x), y)).collect()
 }
 
 #[cfg(test)]
