@@ -3,7 +3,7 @@
 # unless the two outputs are byte-identical (DESIGN.md §14: every JSON
 # surface strips wall-clock timings, so nothing else may vary).
 #
-#   ci/determinism.sh scan|crawl|watch|repro|conformance|phash
+#   ci/determinism.sh scan|crawl|watch|repro|conformance
 #
 # `scan` reads a generated zone of over 8 MiB, so the two runs also cross
 # the import's chunk cuts. Outputs land in
@@ -22,7 +22,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-surface=${1:?usage: ci/determinism.sh scan|crawl|watch|repro|conformance|phash}
+surface=${1:?usage: ci/determinism.sh scan|crawl|watch|repro|conformance}
 out=target/determinism
 mkdir -p "$out"
 zone=$out/zone.txt
@@ -80,10 +80,6 @@ run() {
         repro-tables)
             cargo run --release -q -p squatphi-experiments --bin repro -- \
                 --scale 400 --threads "${threads[$side]}" table3 table4 > "$json"
-            ;;
-        phash)
-            BENCH_QUICK=1 cargo run --release -q -p squatphi-bench --bin phash_baseline -- \
-                "$json" --strip-timings
             ;;
         *)
             echo "determinism: unknown surface '$name'" >&2

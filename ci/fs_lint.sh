@@ -17,7 +17,6 @@ crates/cli/src/commands.rs
 crates/experiments/src/main.rs
 crates/bench/src/bin/scan_baseline.rs
 crates/bench/src/bin/crawl_baseline.rs
-crates/bench/src/bin/phash_baseline.rs
 '
 
 fail=0

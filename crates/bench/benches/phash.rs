@@ -3,8 +3,8 @@
 //! `cargo bench --bench phash` compares radius and k-NN lookups through
 //! [`HashIndex`] (multi-index hashing + BK fallback) against the preserved
 //! [`linear`] oracle on a 65k-hash seeded corpus, plus the one-off build
-//! cost. The committed `BENCH_phash.json` (written by `cargo run --release
-//! --bin phash_baseline`) records the same comparison on a 1M-hash corpus.
+//! cost. The same lookups at the paper's 1M-hash scale are the sysbench
+//! `visual_lookup` workload (`sysbench/README.md`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::prelude::*;

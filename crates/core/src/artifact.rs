@@ -631,12 +631,8 @@ impl BrandHashIndex {
         registry: &Registry,
         entries: I,
     ) -> BrandHashIndex {
-        let mut index = squatphi_imghash::index::HashIndex::in_registry(registry);
-        let mut brands = Vec::new();
-        for (brand, hash) in entries {
-            index.insert(hash);
-            brands.push(brand);
-        }
+        let (brands, hashes): (Vec<usize>, Vec<ImageHash>) = entries.into_iter().unzip();
+        let index = squatphi_imghash::index::HashIndex::from_hashes_in(registry, hashes);
         BrandHashIndex { index, brands }
     }
 

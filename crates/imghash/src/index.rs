@@ -4,7 +4,7 @@
 //! against every brand screenshot; done pairwise that is quadratic in the
 //! corpus. [`HashIndex`] makes radius and k-NN lookups sub-linear with
 //! **multi-index hashing** (Norouzi et al.): each 64-bit hash is split into
-//! `m = 4` disjoint 16-bit substrings and inserted into one exact-match
+//! `m = 4` disjoint 16-bit substrings and filed under one exact-match
 //! bucket table per substring. By the pigeonhole principle, any hash within
 //! Hamming distance `r` of a query must agree with the query on at least one
 //! substring up to that table's flip *allowance*, for any allowances
@@ -15,11 +15,17 @@
 //! distributed unevenly (front-loaded) because `sum(a_t) = r + 1 - m` beats
 //! `a_t = floor(r/m)` everywhere: radius 8 probes 188 buckets, not 548.
 //!
+//! The index is built once, from a whole corpus: the four tables are one
+//! flat bucket table filled by a counting sort, so a probe reads one
+//! contiguous run of hashes (see `BucketTable`).
+//!
 //! Adversarial corpora (e.g. every hash identical) collapse the bucket
 //! tables; when the probed buckets' combined size would rival a linear scan,
 //! queries fall back to a **BK-tree** that stores one node per *distinct*
-//! hash value (duplicate inserts append to the node's id list), which
-//! handles exactly the degenerate distributions that flood MIH buckets.
+//! hash value (duplicates append to the node's id list), which handles
+//! exactly the degenerate distributions that flood MIH buckets. The tree is
+//! built on the first fallback, so an index no query falls back on never
+//! pays for it.
 //!
 //! Tie-breaking is deterministic and insertion-order-stable:
 //! [`HashIndex::within`] returns neighbors sorted by ascending insertion id,
@@ -30,19 +36,22 @@
 
 use crate::{hamming64, ImageHash};
 use squatphi_telemetry::{Counter, Registry};
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Number of substrings each hash is split into.
 pub const CHUNKS: usize = 4;
 /// Bits per substring (`64 / CHUNKS`).
 pub const CHUNK_BITS: u32 = 64 / CHUNKS as u32;
 const BUCKETS_PER_TABLE: usize = 1 << CHUNK_BITS;
+const BUCKETS: usize = CHUNKS * BUCKETS_PER_TABLE;
 
 /// A lookup result: the stored hash, its insertion id and its distance to
-/// the query. Insertion ids are assigned densely from 0 in [`HashIndex::insert`]
-/// order, which is what every tie-break rule keys on.
+/// the query. Insertion ids are the corpus positions given to
+/// [`HashIndex::from_hashes`], which is what every tie-break rule keys on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Neighbor {
-    /// Dense insertion id (the value `insert` returned).
+    /// Dense insertion id (the hash's position in the corpus).
     pub id: u32,
     /// The stored hash.
     pub hash: ImageHash,
@@ -96,6 +105,15 @@ struct BkTree {
 }
 
 impl BkTree {
+    /// The tree of `hashes` inserted in id order.
+    fn build(hashes: &[u64]) -> BkTree {
+        let mut tree = BkTree::default();
+        for (id, &hash) in hashes.iter().enumerate() {
+            tree.insert(id as u32, hash);
+        }
+        tree
+    }
+
     fn insert(&mut self, id: u32, hash: u64) {
         if self.nodes.is_empty() {
             self.nodes.push(BkNode {
@@ -148,7 +166,7 @@ impl BkTree {
             // Triangle inequality: only children whose edge distance lies in
             // [d - radius, d + radius] can contain results.
             let lo = d.saturating_sub(radius);
-            let hi = d + radius;
+            let hi = d.saturating_add(radius);
             for &(cd, child) in node.children.iter().rev() {
                 if (lo..=hi).contains(&cd) {
                     stack.push(child);
@@ -159,6 +177,68 @@ impl BkTree {
     }
 }
 
+/// The `CHUNKS` bucket tables as one flat (CSR) table: bucket
+/// `table * BUCKETS_PER_TABLE + substring` holds every entry whose hash has
+/// that substring value in `table`, as the run `starts[b]..starts[b + 1]`
+/// of the entry arrays, in ascending-id order. Hashes sit in their own
+/// array so a probe verifies a run by reading 8-byte words in sequence;
+/// only a hit needs its id.
+struct BucketTable {
+    /// `BUCKETS + 1` offsets into the entry arrays; the last is `CHUNKS * n`.
+    starts: Vec<u32>,
+    entry_hash: Vec<u64>,
+    entry_id: Vec<u32>,
+}
+
+fn chunk_of(hash: u64, table: usize) -> usize {
+    ((hash >> (table as u32 * CHUNK_BITS)) & (BUCKETS_PER_TABLE as u64 - 1)) as usize
+}
+
+fn bucket_of(hash: u64, table: usize) -> usize {
+    table * BUCKETS_PER_TABLE + chunk_of(hash, table)
+}
+
+impl BucketTable {
+    /// Files every hash under its `CHUNKS` buckets with a two-pass counting
+    /// sort: count each bucket's entries, turn the counts into offsets,
+    /// then place the entries in id order. Both passes go one table at a
+    /// time, so the offsets they touch stay in cache.
+    fn build(hashes: &[u64]) -> BucketTable {
+        let total = u32::try_from(hashes.len() * CHUNKS).expect("HashIndex capped at 2^30 hashes");
+        let mut starts = vec![0u32; BUCKETS + 1];
+        for table in 0..CHUNKS {
+            for &hash in hashes {
+                starts[bucket_of(hash, table) + 1] += 1;
+            }
+        }
+        let mut sum = 0;
+        for start in &mut starts {
+            sum += *start;
+            *start = sum;
+        }
+        let mut next = starts.clone();
+        let mut entry_hash = vec![0u64; total as usize];
+        let mut entry_id = vec![0u32; total as usize];
+        for table in 0..CHUNKS {
+            for (id, &hash) in hashes.iter().enumerate() {
+                let slot = &mut next[bucket_of(hash, table)];
+                entry_hash[*slot as usize] = hash;
+                entry_id[*slot as usize] = id as u32;
+                *slot += 1;
+            }
+        }
+        BucketTable {
+            starts,
+            entry_hash,
+            entry_id,
+        }
+    }
+
+    fn run(&self, bucket: usize) -> Range<usize> {
+        self.starts[bucket] as usize..self.starts[bucket + 1] as usize
+    }
+}
+
 /// Multi-index-hashing nearest-neighbor index with a BK-tree fallback.
 ///
 /// See the [module docs](self) for the layout and tie-break rules. Every
@@ -166,34 +246,20 @@ impl BkTree {
 /// are always set-identical to the [`linear`] oracle.
 pub struct HashIndex {
     hashes: Vec<u64>,
-    /// `CHUNKS` tables of `2^CHUNK_BITS` buckets, flattened; bucket
-    /// `table * BUCKETS_PER_TABLE + substring` holds `(insertion id, hash)`
-    /// for every entry whose hash has that exact substring value. Hashes are
-    /// stored inline so verification reads each probed bucket sequentially
-    /// instead of chasing ids into `hashes` at random.
-    buckets: Vec<Vec<(u32, u64)>>,
-    bk: BkTree,
+    table: BucketTable,
+    /// Built from `hashes` in id order by the first query that falls back.
+    bk: OnceLock<BkTree>,
     counters: IndexCounters,
     registry: Registry,
-}
-
-impl Default for HashIndex {
-    fn default() -> HashIndex {
-        HashIndex::new()
-    }
 }
 
 impl std::fmt::Debug for HashIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HashIndex")
             .field("len", &self.hashes.len())
-            .field("bk_nodes", &self.bk.nodes.len())
+            .field("bk_nodes", &self.bk.get().map_or(0, |bk| bk.nodes.len()))
             .finish()
     }
-}
-
-fn chunk_of(hash: u64, table: usize) -> usize {
-    ((hash >> (table as u32 * CHUNK_BITS)) & (BUCKETS_PER_TABLE as u64 - 1)) as usize
 }
 
 /// Per-table flip allowances for a query radius. The pigeonhole argument
@@ -232,30 +298,29 @@ fn for_each_chunk_within(base: usize, flips: u32, emit: &mut impl FnMut(usize)) 
 }
 
 impl HashIndex {
-    /// An index with a private telemetry registry (see [`Self::in_registry`]).
-    pub fn new() -> HashIndex {
-        HashIndex::in_registry(&Registry::new())
+    /// Build an index over `corpus` in iteration order (ids `0..len`),
+    /// with a private telemetry registry.
+    pub fn from_hashes<I: IntoIterator<Item = ImageHash>>(corpus: I) -> HashIndex {
+        HashIndex::from_hashes_in(&Registry::new(), corpus)
     }
 
-    /// An index whose `phash.index.*` counters live in `registry`, so a
-    /// pipeline-wide snapshot carries them alongside every other scope.
-    pub fn in_registry(registry: &Registry) -> HashIndex {
+    /// [`Self::from_hashes`] with the `phash.index.*` counters in
+    /// `registry`, so a pipeline-wide snapshot carries them alongside every
+    /// other scope.
+    pub fn from_hashes_in<I: IntoIterator<Item = ImageHash>>(
+        registry: &Registry,
+        corpus: I,
+    ) -> HashIndex {
+        let hashes: Vec<u64> = corpus.into_iter().map(|h| h.0).collect();
+        let counters = IndexCounters::in_registry(registry);
+        counters.inserts.add(hashes.len() as u64);
         HashIndex {
-            hashes: Vec::new(),
-            buckets: vec![Vec::new(); CHUNKS * BUCKETS_PER_TABLE],
-            bk: BkTree::default(),
-            counters: IndexCounters::in_registry(registry),
+            table: BucketTable::build(&hashes),
+            hashes,
+            bk: OnceLock::new(),
+            counters,
             registry: registry.clone(),
         }
-    }
-
-    /// Build an index over `corpus` in iteration order (ids `0..len`).
-    pub fn from_hashes<I: IntoIterator<Item = ImageHash>>(corpus: I) -> HashIndex {
-        let mut index = HashIndex::new();
-        for hash in corpus {
-            index.insert(hash);
-        }
-        index
     }
 
     /// The registry holding this index's `phash.index.*` counters.
@@ -268,7 +333,7 @@ impl HashIndex {
         self.hashes.len()
     }
 
-    /// True when nothing has been inserted.
+    /// True when the corpus was empty.
     pub fn is_empty(&self) -> bool {
         self.hashes.is_empty()
     }
@@ -276,19 +341,6 @@ impl HashIndex {
     /// The hash stored under insertion id `id`.
     pub fn get(&self, id: u32) -> Option<ImageHash> {
         self.hashes.get(id as usize).copied().map(ImageHash)
-    }
-
-    /// Insert a hash; returns its dense insertion id. Duplicates are kept —
-    /// each insert gets its own id, exactly like pushing onto a `Vec`.
-    pub fn insert(&mut self, hash: ImageHash) -> u32 {
-        let id = u32::try_from(self.hashes.len()).expect("HashIndex capped at u32 ids");
-        self.hashes.push(hash.0);
-        for table in 0..CHUNKS {
-            self.buckets[table * BUCKETS_PER_TABLE + chunk_of(hash.0, table)].push((id, hash.0));
-        }
-        self.bk.insert(id, hash.0);
-        self.counters.inserts.inc();
-        id
     }
 
     /// The buckets MIH would probe for this query/radius, flattened.
@@ -327,7 +379,7 @@ impl HashIndex {
         // the BK-tree's distinct-hash nodes win — take the fallback.
         let estimate: usize = plan
             .iter()
-            .map(|&b| self.buckets[b as usize].len())
+            .map(|&b| self.table.run(b as usize).len())
             .sum::<usize>();
         if estimate >= self.hashes.len() / 2 {
             self.counters.fallbacks.inc();
@@ -354,11 +406,12 @@ impl HashIndex {
         let mut verified = 0u64;
         for &bucket in plan {
             let table = bucket as usize / BUCKETS_PER_TABLE;
-            let entries = &self.buckets[bucket as usize];
-            if !entries.is_empty() {
+            let run = self.table.run(bucket as usize);
+            if !run.is_empty() {
                 bucket_hits += 1;
             }
-            'entry: for &(id, hash) in entries {
+            let ids = &self.table.entry_id[run.clone()];
+            'entry: for (&hash, &id) in self.table.entry_hash[run].iter().zip(ids) {
                 for (t, &a) in allow.iter().enumerate().take(table) {
                     let d = (chunk_of(hash, t) ^ chunk_of(query, t)).count_ones();
                     if d <= a {
@@ -386,8 +439,9 @@ impl HashIndex {
     }
 
     fn bk_within(&self, query: u64, radius: u32) -> Vec<Neighbor> {
+        let bk = self.bk.get_or_init(|| BkTree::build(&self.hashes));
         let (mut probes, mut verified) = (0u64, 0u64);
-        let mut pairs = self.bk.within(query, radius, |entries, hit| {
+        let mut pairs = bk.within(query, radius, |entries, hit| {
             probes += entries;
             if hit {
                 verified += entries;
@@ -479,12 +533,17 @@ mod tests {
         bits.iter().copied().map(ImageHash).collect()
     }
 
+    fn bk_nodes(index: &HashIndex) -> Option<usize> {
+        index.bk.get().map(|bk| bk.nodes.len())
+    }
+
     #[test]
     fn within_matches_linear_on_small_corpus() {
         let corpus = hashes(&[0x0, 0x1, 0x3, 0xFF, u64::MAX, 0x8000_0000_0000_0001]);
         let index = HashIndex::from_hashes(corpus.iter().copied());
         for query in &corpus {
-            for radius in [0, 1, 2, 8, 33, 64] {
+            // Radii past 64 take the BK-tree, whose `d + radius` must not wrap.
+            for radius in [0, 1, 2, 8, 33, 64, 65, 1000, u32::MAX] {
                 assert_eq!(
                     index.within(query, radius),
                     linear::within(&corpus, query, radius),
@@ -523,18 +582,14 @@ mod tests {
         let snap = index.telemetry().snapshot();
         assert!(snap.u64_or_zero("phash.index.fallbacks") >= 1);
         // The BK-tree stores one node for all 500 duplicates.
-        assert_eq!(index.bk.nodes.len(), 1);
+        assert_eq!(bk_nodes(&index), Some(1));
     }
 
     #[test]
     fn probe_conservation_holds_on_both_paths() {
-        let mut index = HashIndex::new();
-        for i in 0..300u64 {
-            index.insert(ImageHash(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
-        }
-        for _ in 0..400 {
-            index.insert(ImageHash(0)); // flood one bucket -> BK path at r=0
-        }
+        let spread = (0..300u64).map(|i| ImageHash(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+        // Flood one bucket -> BK path at r=0.
+        let index = HashIndex::from_hashes(spread.chain(std::iter::repeat_n(ImageHash(0), 400)));
         index.within(&ImageHash(0), 0); // BK fallback
         index.within(&ImageHash(0x1234), 6); // MIH path
         let snap = index.telemetry().snapshot();
@@ -547,7 +602,7 @@ mod tests {
 
     #[test]
     fn empty_index_returns_nothing() {
-        let index = HashIndex::new();
+        let index = HashIndex::from_hashes(std::iter::empty());
         assert!(index.is_empty());
         assert!(index.within(&ImageHash(7), 64).is_empty());
         assert!(index.nearest(&ImageHash(7), 3).is_empty());
@@ -569,9 +624,114 @@ mod tests {
 
     #[test]
     fn get_returns_inserted_hash() {
-        let mut index = HashIndex::new();
-        let id = index.insert(ImageHash(42));
-        assert_eq!(index.get(id), Some(ImageHash(42)));
-        assert_eq!(index.get(id + 1), None);
+        let index = HashIndex::from_hashes([ImageHash(42)]);
+        assert_eq!(index.get(0), Some(ImageHash(42)));
+        assert_eq!(index.get(1), None);
+    }
+
+    #[test]
+    fn bucket_table_holds_each_bucket_in_id_order() {
+        let spread: Vec<u64> = (0..200u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i % 7))
+            .collect();
+        for corpus in [vec![], vec![0xDEAD_BEEF], vec![0xABCD; 50], spread] {
+            let table = BucketTable::build(&corpus);
+            assert_eq!(table.starts.len(), BUCKETS + 1);
+            assert_eq!(table.starts[0], 0);
+            assert!(
+                table.starts.windows(2).all(|w| w[0] <= w[1]),
+                "starts not monotone"
+            );
+            assert_eq!(table.starts[BUCKETS] as usize, CHUNKS * corpus.len());
+            // The oracle: one `Vec` per bucket, pushed in id order.
+            let mut want = vec![Vec::new(); BUCKETS];
+            for (id, &hash) in corpus.iter().enumerate() {
+                for t in 0..CHUNKS {
+                    want[bucket_of(hash, t)].push(id as u32);
+                }
+            }
+            for (bucket, ids) in want.iter().enumerate() {
+                let run = table.run(bucket);
+                assert_eq!(&table.entry_id[run.clone()], ids, "bucket {bucket}");
+                for (&id, &hash) in table.entry_id[run.clone()]
+                    .iter()
+                    .zip(&table.entry_hash[run])
+                {
+                    assert_eq!(hash, corpus[id as usize]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mih_only_queries_leave_the_bk_tree_unbuilt() {
+        let corpus: Vec<ImageHash> = (0..2_000u64)
+            .map(|i| ImageHash(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+            .collect();
+        let index = HashIndex::from_hashes(corpus.iter().copied());
+        for query in corpus.iter().step_by(97) {
+            for radius in [0, 4, 8, 12] {
+                assert_eq!(
+                    index.within(query, radius),
+                    linear::within(&corpus, query, radius)
+                );
+            }
+        }
+        assert_eq!(
+            index
+                .telemetry()
+                .snapshot()
+                .u64_or_zero("phash.index.fallbacks"),
+            0
+        );
+        assert_eq!(bk_nodes(&index), None);
+        assert!(format!("{index:?}").contains("bk_nodes: 0"));
+    }
+
+    #[test]
+    fn first_fallback_builds_one_node_per_distinct_hash() {
+        let corpus = hashes(&[5, 9, 5, 0, u64::MAX, 9, 9, 0x8000]);
+        let index = HashIndex::from_hashes(corpus.iter().copied());
+        assert_eq!(bk_nodes(&index), None);
+        let q = ImageHash(5);
+        assert_eq!(index.within(&q, 40), linear::within(&corpus, &q, 40));
+        assert_eq!(bk_nodes(&index), Some(5));
+        assert!(format!("{index:?}").contains("bk_nodes: 5"));
+    }
+
+    #[test]
+    fn racing_first_fallbacks_both_answer_exactly() {
+        let corpus: Vec<ImageHash> = (0..600u64)
+            .map(|i| ImageHash((i % 150).wrapping_mul(0x2545_F491_4F6C_DD1D)))
+            .collect();
+        let index = HashIndex::from_hashes(corpus.iter().copied());
+        let queries = [corpus[3], ImageHash(0x0F0F_0F0F)];
+        let start = std::sync::Barrier::new(queries.len());
+        let answers: Vec<Vec<Neighbor>> = std::thread::scope(|s| {
+            let workers: Vec<_> = queries
+                .iter()
+                .map(|q| {
+                    let (index, start) = (&index, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        index.within(q, 40)
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("query thread panicked"))
+                .collect()
+        });
+        for (q, got) in queries.iter().zip(&answers) {
+            assert_eq!(got, &linear::within(&corpus, q, 40));
+        }
+        assert_eq!(bk_nodes(&index), Some(150));
+        let snap = index.telemetry().snapshot();
+        assert_eq!(snap.u64_or_zero("phash.index.fallbacks"), 2);
+        assert_eq!(
+            snap.u64_or_zero("phash.index.probes"),
+            snap.u64_or_zero("phash.index.verified") + snap.u64_or_zero("phash.index.pruned")
+        );
     }
 }

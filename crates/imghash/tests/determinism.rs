@@ -3,9 +3,9 @@
 //! Counter totals are part of the index's observable contract (the
 //! conformance oracle audits them), so bucket traversal order, fallback
 //! decisions and probe accounting may not depend on anything but the
-//! insert/query sequence.
+//! corpus and the query sequence.
 
-use squatphi_imghash::index::HashIndex;
+use squatphi_imghash::index::{linear, HashIndex};
 use squatphi_imghash::ImageHash;
 
 /// A seeded corpus mixing the MIH fast path (well-spread hashes) with a
@@ -18,7 +18,7 @@ fn corpus() -> Vec<ImageHash> {
     out
 }
 
-/// One full insert + query workload; returns the rendered snapshot.
+/// One full build + query workload; returns the rendered snapshot.
 fn run_workload() -> String {
     let index = HashIndex::from_hashes(corpus());
     for i in 0..50u64 {
@@ -51,6 +51,77 @@ fn telemetry_snapshot_is_byte_identical_across_runs() {
     ] {
         assert!(a.contains(key), "snapshot render missing {key}:\n{a}");
     }
+}
+
+/// splitmix64: a seeded stream with no dependency outside this file.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The golden stream: a 20k-hash corpus, 80 % uniform and 20 % within
+/// 0–8 flips of one of 24 centres, queried by the centres and by 24
+/// uniform hashes at every radius 0..=20 and `k` ∈ {1, 5, 17}, then one
+/// radius-40 query, which always takes the BK-tree. Every answer must
+/// equal `linear`'s; returns the rendered snapshot.
+fn golden_stream() -> String {
+    let mut state = 2018u64;
+    let centres: Vec<u64> = (0..24).map(|_| next(&mut state)).collect();
+    let corpus: Vec<ImageHash> = (0..20_000usize)
+        .map(|i| {
+            if i % 5 == 0 {
+                let mut h = centres[next(&mut state) as usize % centres.len()];
+                for _ in 0..next(&mut state) % 9 {
+                    h ^= 1 << (next(&mut state) % 64);
+                }
+                ImageHash(h)
+            } else {
+                ImageHash(next(&mut state))
+            }
+        })
+        .collect();
+    let queries: Vec<ImageHash> = centres
+        .iter()
+        .map(|&c| ImageHash(c))
+        .chain((0..24).map(|_| ImageHash(next(&mut state))))
+        .collect();
+    let index = HashIndex::from_hashes(corpus.iter().copied());
+    for q in &queries {
+        for radius in 0..=20 {
+            assert_eq!(index.within(q, radius), linear::within(&corpus, q, radius));
+        }
+        for k in [1, 5, 17] {
+            assert_eq!(index.nearest(q, k), linear::nearest(&corpus, q, k));
+        }
+    }
+    let q = &queries[0];
+    assert_eq!(index.within(q, 40), linear::within(&corpus, q, 40));
+    index.telemetry().snapshot().render()
+}
+
+/// Rendered by the bucket-per-`Vec` index with an eagerly built BK-tree,
+/// before the table became one flat array: the layout may change, the
+/// counters may not.
+const GOLDEN_SNAPSHOT: &str = r#"{
+  "phash": {
+    "index": {
+      "bucket_hits": 927275,
+      "fallbacks": 1,
+      "inserts": 20000,
+      "probes": 1203018,
+      "pruned": 1107416,
+      "queries": 1505,
+      "verified": 95602
+    }
+  }
+}"#;
+
+#[test]
+fn golden_stream_leaves_the_pinned_counters() {
+    assert_eq!(golden_stream(), GOLDEN_SNAPSHOT);
 }
 
 #[test]
