@@ -16,7 +16,6 @@ ALLOWED='
 crates/cli/src/commands.rs
 crates/experiments/src/main.rs
 crates/bench/src/bin/scan_baseline.rs
-crates/bench/src/bin/crawl_baseline.rs
 '
 
 fail=0

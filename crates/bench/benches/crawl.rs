@@ -1,9 +1,8 @@
 //! Crawl-engine benchmarks: the worker-pool engine over the plain
 //! in-process transport, the zero-fault middleware stack (what the
 //! robustness layers cost), and a chaos plan (what fault handling
-//! costs). The committed `BENCH_crawl.json` (written by
-//! `cargo run --release --bin crawl_baseline`) records the same
-//! workload so regressions show up as a diff.
+//! costs). The crawl stage as a user runs it is measured by the sysbench
+//! `repro_batch` and `watch_*` workloads (`sysbench/README.md`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use squatphi_crawler::{

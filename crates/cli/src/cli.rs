@@ -197,6 +197,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                         limit = rest
                             .get(i)
                             .and_then(|s| s.parse().ok())
+                            .filter(|&n| n > 0)
                             .ok_or_else(|| err("--limit needs a positive integer"))?;
                     }
                     other if brand.is_none() => brand = Some(other.to_string()),
@@ -588,6 +589,7 @@ mod tests {
         );
         assert!(parse_args(&args("gen")).is_err());
         assert!(parse_args(&args("gen a b")).is_err());
+        assert!(parse_args(&args("gen facebook --limit 0")).is_err());
     }
 
     #[test]

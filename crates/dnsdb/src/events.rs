@@ -15,7 +15,7 @@
 
 use squatphi_squat::gen::{self, GenBudget};
 use squatphi_squat::words::BENIGN_WORDS;
-use squatphi_squat::{BrandRegistry, SquatType};
+use squatphi_squat::BrandRegistry;
 use std::net::Ipv4Addr;
 
 /// One observed change in the registration feed.
@@ -132,25 +132,53 @@ const SALT_IP: u64 = 0x27d4_eb2f_1656_67c5;
 #[derive(Debug)]
 pub struct EventStream {
     config: EventStreamConfig,
-    /// Flattened squat candidates: `(brand, type, domain)` in brand
-    /// order, weighted by replication so heavy brands dominate draws.
-    squat_pool: Vec<(usize, SquatType, String)>,
+    /// Every brand's squat candidates, each stored once, in brand order.
+    squat_domains: Vec<String>,
+    /// One run per brand with candidates. The draw space is the candidate
+    /// list with each candidate repeated `weight` times, so heavy brands
+    /// dominate draws; a run maps its slots back to candidates.
+    squat_runs: Vec<SlotRun>,
+    /// Length of the draw space (the sum of every run's slots).
+    squat_slots: usize,
     intra: u64,
+}
+
+/// One brand's stretch of the weighted draw space.
+#[derive(Debug)]
+struct SlotRun {
+    /// First slot of the run.
+    first_slot: usize,
+    /// Index of the brand's first candidate in `squat_domains`.
+    first_domain: usize,
+    /// Slots per candidate.
+    weight: usize,
 }
 
 impl EventStream {
     /// Builds the stream over `registry`'s brands. Pool construction is
-    /// the only non-O(1) work; events themselves are O(1) lookups.
+    /// the only non-O(1) work; events themselves are O(log brands) lookups.
     pub fn new(config: &EventStreamConfig, registry: &BrandRegistry) -> Self {
-        let mut squat_pool = Vec::new();
+        let mut squat_domains = Vec::new();
+        let mut squat_runs = Vec::new();
+        let mut squat_slots = 0;
         for brand in registry.brands() {
             // Heavier weight for short/generic labels, echoing the
             // snapshot generator's brand skew.
             let weight = 1 + 8 / brand.label.len().max(1);
-            for c in gen::generate_all(brand, POOL_BUDGET) {
-                for _ in 0..weight {
-                    squat_pool.push((brand.id, c.squat_type, c.domain.as_str().to_string()));
-                }
+            let first_domain = squat_domains.len();
+            squat_domains.extend(
+                gen::generate_all(brand, POOL_BUDGET)
+                    .into_iter()
+                    .map(|c| c.domain.into_string()),
+            );
+            let count = squat_domains.len() - first_domain;
+            if count > 0 {
+                squat_runs.push(SlotRun {
+                    first_slot: squat_slots,
+                    first_domain,
+                    weight,
+                });
+                squat_slots += count * weight;
             }
         }
         let burst = config.burst.max(1);
@@ -160,7 +188,9 @@ impl EventStream {
             .min(config.period_nanos.max(burst) / burst);
         EventStream {
             config: config.clone(),
-            squat_pool,
+            squat_domains,
+            squat_runs,
+            squat_slots,
             intra,
         }
     }
@@ -220,11 +250,12 @@ impl EventStream {
     /// kind index `seq` actually resolved to.
     fn registration_domain(&self, seq: u64) -> String {
         let h = mix(self.config.seed, seq, SALT_DOMAIN);
-        let squatty =
-            !self.squat_pool.is_empty() && (h % 1000) < u64::from(self.config.squat_permille);
+        let squatty = self.squat_slots > 0 && (h % 1000) < u64::from(self.config.squat_permille);
         if squatty {
-            let (_, _, domain) = &self.squat_pool[(h >> 10) as usize % self.squat_pool.len()];
-            domain.clone()
+            let slot = (h >> 10) as usize % self.squat_slots;
+            let run =
+                &self.squat_runs[self.squat_runs.partition_point(|r| r.first_slot <= slot) - 1];
+            self.squat_domains[run.first_domain + (slot - run.first_slot) / run.weight].clone()
         } else {
             benign_domain(h)
         }
@@ -377,6 +408,30 @@ mod tests {
                 assert!(o[0] >= 1 && o[0] <= 223 && o[0] != 10 && o[0] != 127);
             }
         }
+    }
+
+    /// Pins the first 10,000 events (index, arrival, kind, domain, IP) of
+    /// the default-config stream over 40 and over all 702 brands; the
+    /// digests were taken from the pool that stored each candidate once
+    /// per weight slot.
+    #[test]
+    fn stream_golden() {
+        let got: Vec<u64> = [40, 702]
+            .into_iter()
+            .map(|brands| {
+                let s = EventStream::new(
+                    &EventStreamConfig::default(),
+                    &BrandRegistry::with_size(brands),
+                );
+                (0..10_000).fold(crate::FNV_OFFSET, |h, i| {
+                    crate::fnv1a(h, format!("{:?}\n", s.event(i)).as_bytes())
+                })
+            })
+            .collect();
+        assert_eq!(
+            got,
+            vec![5_247_103_114_928_416_021, 5_587_338_655_825_523_879]
+        );
     }
 
     #[test]

@@ -35,3 +35,16 @@ pub use scan::{
 };
 pub use store::RecordStore;
 pub use synth::{SnapshotConfig, SnapshotStats};
+
+/// FNV-1a over `bytes`, continuing from `h` (start from
+/// [`FNV_OFFSET`]) — the golden-digest hash of the synth and event tests.
+#[cfg(test)]
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+#[cfg(test)]
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

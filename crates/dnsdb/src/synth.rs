@@ -66,6 +66,15 @@ pub struct SnapshotStats {
     pub total_records: usize,
 }
 
+/// Per-type candidate limits of one brand's planting pools.
+const PLANT_BUDGET: GenBudget = GenBudget {
+    homograph: 400,
+    bits: 200,
+    typo: 600,
+    combo: 800,
+    wrong_tld: 25,
+};
+
 /// Paper type mix (Figure 2): homograph, bits, typo, combo, wrongTLD.
 const TYPE_MIX: [(SquatType, f64); 5] = [
     (SquatType::Homograph, 32_646.0 / 657_663.0),
@@ -133,9 +142,6 @@ fn plant_squats(
 ) {
     let weights = brand_weights(registry);
     let total_w: f64 = weights.iter().sum();
-    // Pre-generate candidate pools lazily per brand (the budget bounds the
-    // memory; combo is effectively unbounded so it back-fills any deficit).
-    let mut pools: Vec<Option<[Vec<String>; 5]>> = vec![None; registry.len()];
     let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
     let mut planted = 0usize;
     let mut brand_order: Vec<usize> = (0..registry.len()).collect();
@@ -186,8 +192,11 @@ fn plant_squats(
             continue;
         }
         let brand = registry.get(bid).expect("brand id");
-        let pool = pools[bid].get_or_insert_with(|| build_pool(brand));
-        let mut pool_pos = [0usize; 5];
+        // One candidate sequence per type, started when the quota first
+        // asks this brand for that type and pulled only as far as planting
+        // goes: a brand planting two squats generates a handful of
+        // candidates, not its whole pool.
+        let mut pools: [Option<gen::Candidates>; 5] = Default::default();
         let mut backfill = 0usize;
         for _ in 0..want {
             if planted >= config.squatting_records {
@@ -209,15 +218,17 @@ fn plant_squats(
                 if quota[ti] == 0 {
                     continue;
                 }
-                // Advance past already-used candidates.
-                while pool_pos[ti] < pool[ti].len() && seen.contains(&pool[ti][pool_pos[ti]]) {
-                    pool_pos[ti] += 1;
-                }
-                if pool_pos[ti] >= pool[ti].len() {
-                    continue; // pool dry for this brand
-                }
-                let dom = pool[ti][pool_pos[ti]].clone();
-                pool_pos[ti] += 1;
+                let ty = TYPE_MIX[ti].0;
+                let pool = pools[ti]
+                    .get_or_insert_with(|| gen::candidates(brand, ty, PLANT_BUDGET.limit(ty)));
+                // Skip candidates already planted; an exhausted sequence is
+                // a pool dry for this brand.
+                let Some(dom) = pool
+                    .map(|c| c.domain.into_string())
+                    .find(|d| !seen.contains(d))
+                else {
+                    continue;
+                };
                 seen.insert(dom.clone());
                 push_record(&dom, config, rng, store);
                 stats.planted_by_type[ti] += 1;
@@ -247,29 +258,6 @@ fn plant_squats(
             }
         }
     }
-}
-
-/// Builds per-type candidate pools for one brand, paper type order.
-fn build_pool(brand: &squatphi_squat::Brand) -> [Vec<String>; 5] {
-    let budget = GenBudget {
-        homograph: 400,
-        bits: 200,
-        typo: 600,
-        combo: 800,
-        wrong_tld: 25,
-    };
-    let mut pool: [Vec<String>; 5] = Default::default();
-    for c in gen::generate_all(brand, budget) {
-        let idx = match c.squat_type {
-            SquatType::Homograph => 0,
-            SquatType::Bits => 1,
-            SquatType::Typo => 2,
-            SquatType::Combo => 3,
-            SquatType::WrongTld => 4,
-        };
-        pool[idx].push(c.domain.as_str().to_string());
-    }
-    pool
 }
 
 fn push_record(domain: &str, config: &SnapshotConfig, rng: &mut StdRng, store: &mut RecordStore) {
@@ -382,6 +370,65 @@ mod tests {
         let vice = reg.by_label("vice").expect("vice in first 40").id;
         let max = stats.planted_by_brand.iter().max().copied().unwrap_or(0);
         assert!(stats.planted_by_brand[vice] as f64 >= max as f64 * 0.5);
+    }
+
+    /// Record count and digest of the zone text plus the planting stats.
+    fn snapshot_digest(cfg: &SnapshotConfig, reg: &BrandRegistry) -> (usize, u64) {
+        let (store, stats) = generate(cfg, reg);
+        let mut h = crate::fnv1a(crate::FNV_OFFSET, store.to_zone().as_bytes());
+        let stats_text = format!(
+            "{:?} {:?} {}",
+            stats.planted_by_type, stats.planted_by_brand, stats.total_records
+        );
+        h = crate::fnv1a(h, stats_text.as_bytes());
+        (store.len(), h)
+    }
+
+    /// Pins whole snapshots — every record, subdomain and IP, and the
+    /// planting stats — at the test config, at the benchmark's
+    /// `paper_scale(2400)` on two seeds, on a five-brand registry planted
+    /// far past its pools (dry pools and the numbered back-fill fire) and
+    /// on `repro`'s default plant (a candidate is skipped as already
+    /// planted). The digests were taken from the planter that materialised
+    /// every brand's whole candidate pool.
+    #[test]
+    fn snapshot_golden() {
+        let paper = BrandRegistry::paper();
+        let mut got = vec![snapshot_digest(
+            &SnapshotConfig::tiny(),
+            &BrandRegistry::with_size(40),
+        )];
+        for seed in [2019, 912] {
+            let cfg = SnapshotConfig {
+                seed,
+                ..SnapshotConfig::paper_scale(2400)
+            };
+            got.push(snapshot_digest(&cfg, &paper));
+        }
+        let crowded = SnapshotConfig {
+            benign_records: 50,
+            squatting_records: 12_000,
+            subdomain_fraction: 0.3,
+            seed: 5,
+        };
+        got.push(snapshot_digest(&crowded, &BrandRegistry::with_size(5)));
+        // `repro`'s default plant (1/100 scale) without its haystack: one
+        // candidate there was already planted for another brand.
+        let default_plant = SnapshotConfig {
+            benign_records: 0,
+            ..SnapshotConfig::paper_scale(100)
+        };
+        got.push(snapshot_digest(&default_plant, &paper));
+        assert_eq!(
+            got,
+            vec![
+                (2_600, 6_888_517_167_945_370_625),
+                (93_671, 5_147_722_416_311_538_416),
+                (93_671, 14_383_419_133_514_437_753),
+                (12_050, 1_413_498_000_370_295_586),
+                (6_576, 12_438_482_947_769_562_888),
+            ]
+        );
     }
 
     #[test]

@@ -235,11 +235,14 @@ impl Default for ConfusableTable {
 }
 
 impl ConfusableTable {
-    /// Builds the lookup structures from the embedded table.
-    pub fn new() -> Self {
+    /// Builds the lookup structures from the embedded table (`const`, so
+    /// a generator can keep one in a `static`).
+    pub const fn new() -> Self {
         let mut forward = [255u8; 128];
-        for (i, e) in CONFUSABLES.iter().enumerate() {
-            forward[e.source as usize] = i as u8;
+        let mut i = 0;
+        while i < CONFUSABLES.len() {
+            forward[CONFUSABLES[i].source as usize] = i as u8;
+            i += 1;
         }
         ConfusableTable { forward }
     }
@@ -443,6 +446,34 @@ mod tests {
         for e in CONFUSABLES {
             assert!(!e.unicode.contains(&e.source));
             assert!(!e.ascii.contains(&e.source));
+        }
+    }
+
+    /// The homograph generator skips no duplicates: it relies on each
+    /// source listing a glyph or sequence once, on the Unicode and ASCII
+    /// lists being what their names say, and on no sequence starting with
+    /// the character it imitates.
+    #[test]
+    fn variants_are_distinct_and_sequences_never_start_with_their_source() {
+        for e in CONFUSABLES {
+            let glyphs: std::collections::HashSet<char> =
+                e.unicode.iter().chain(e.ascii).copied().collect();
+            assert_eq!(
+                glyphs.len(),
+                e.unicode.len() + e.ascii.len(),
+                "{}",
+                e.source
+            );
+            assert!(e.unicode.iter().all(|c| !c.is_ascii()), "{}", e.source);
+            assert!(e.ascii.iter().all(char::is_ascii), "{}", e.source);
+            let seqs: std::collections::HashSet<&str> = e.sequences.iter().copied().collect();
+            assert_eq!(seqs.len(), e.sequences.len(), "{}", e.source);
+            for seq in e.sequences {
+                assert!(
+                    seq.chars().count() > 1 && !seq.starts_with(e.source),
+                    "{seq}"
+                );
+            }
         }
     }
 }

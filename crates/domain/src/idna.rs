@@ -18,15 +18,26 @@ pub const ACE_PREFIX: &str = "xn--";
 /// assert_eq!(to_ascii("plain.com").unwrap(), "plain.com");
 /// ```
 pub fn to_ascii(domain: &str) -> Result<String, PunycodeError> {
-    let mut out = Vec::new();
-    for label in domain.split('.') {
+    let mut out = String::with_capacity(domain.len() + 8);
+    to_ascii_into(domain, &mut out)?;
+    Ok(out)
+}
+
+/// [`to_ascii`], appending to `out` instead of allocating. On error `out`
+/// holds a partial conversion.
+pub fn to_ascii_into(domain: &str, out: &mut String) -> Result<(), PunycodeError> {
+    for (i, label) in domain.split('.').enumerate() {
+        if i > 0 {
+            out.push('.');
+        }
         if label.is_ascii() {
-            out.push(label.to_string());
+            out.push_str(label);
         } else {
-            out.push(format!("{ACE_PREFIX}{}", punycode::encode(label)?));
+            out.push_str(ACE_PREFIX);
+            punycode::encode_into(label, out)?;
         }
     }
-    Ok(out.join("."))
+    Ok(())
 }
 
 /// Converts an ASCII domain into its Unicode display form, decoding each

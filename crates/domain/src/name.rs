@@ -228,9 +228,9 @@ impl DomainName {
         self.core_label().starts_with("xn--")
     }
 
-    /// Builds a registrable domain from a core label and suffix without
-    /// re-validating the suffix membership (used by generators that iterate
-    /// over known suffixes).
+    /// Builds `core.suffix` and [`parse`](Self::parse)s it: every label is
+    /// validated and the suffix must be a known one, exactly as if the
+    /// joined string had been parsed.
     pub fn from_parts(core: &str, suffix: &str) -> Result<Self, DomainError> {
         Self::parse(&format!("{core}.{suffix}"))
     }

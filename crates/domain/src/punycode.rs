@@ -76,23 +76,29 @@ fn char_to_digit(c: char) -> Option<u32> {
 /// assert_eq!(encode("fàcebook").unwrap(), "fcebook-8va");
 /// ```
 pub fn encode(input: &str) -> Result<String, PunycodeError> {
-    let chars: Vec<char> = input.chars().collect();
     let mut output = String::with_capacity(input.len() + 8);
+    encode_into(input, &mut output)?;
+    Ok(output)
+}
 
-    // Copy the basic code points first.
-    let basic: Vec<char> = chars.iter().copied().filter(char::is_ascii).collect();
-    let b = basic.len() as u32;
-    output.extend(basic.iter());
-    if b > 0 && b < chars.len() as u32 {
+/// [`encode`], appending to `output` instead of allocating (the squat
+/// generators write `xn--` + label + `.` + TLD into one reused buffer).
+/// On error `output` holds a partial encoding.
+pub fn encode_into(input: &str, output: &mut String) -> Result<(), PunycodeError> {
+    let len = input.chars().count() as u32;
+
+    // Copy the basic code points first. RFC 3492 appends the delimiter
+    // even to pure-ASCII input, though IDNA only encodes non-ASCII labels.
+    let mut b: u32 = 0;
+    for c in input.chars().filter(char::is_ascii) {
+        output.push(c);
+        b += 1;
+    }
+    if b > 0 {
         output.push(DELIMITER);
     }
-    if b == chars.len() as u32 {
-        // Pure-ASCII input: RFC 3492 still defines the output (with trailing
-        // delimiter) but for IDNA we only call this for non-ASCII labels.
-        if b > 0 {
-            output.push(DELIMITER);
-        }
-        return Ok(output);
+    if b == len {
+        return Ok(());
     }
 
     let mut n = INITIAL_N;
@@ -100,11 +106,11 @@ pub fn encode(input: &str) -> Result<String, PunycodeError> {
     let mut bias = INITIAL_BIAS;
     let mut handled = b;
 
-    while (handled as usize) < chars.len() {
+    while handled < len {
         // Find the smallest unhandled code point >= n.
-        let m = chars
-            .iter()
-            .map(|&c| c as u32)
+        let m = input
+            .chars()
+            .map(|c| c as u32)
             .filter(|&c| c >= n)
             .min()
             .expect("at least one unhandled non-basic code point");
@@ -116,7 +122,7 @@ pub fn encode(input: &str) -> Result<String, PunycodeError> {
             )
             .ok_or(PunycodeError::Overflow)?;
         n = m;
-        for &c in &chars {
+        for c in input.chars() {
             let c = c as u32;
             if c < n {
                 delta = delta.checked_add(1).ok_or(PunycodeError::Overflow)?;
@@ -148,7 +154,7 @@ pub fn encode(input: &str) -> Result<String, PunycodeError> {
         delta = delta.checked_add(1).ok_or(PunycodeError::Overflow)?;
         n += 1;
     }
-    Ok(output)
+    Ok(())
 }
 
 /// Decodes a Punycode string (no `xn--` prefix) back into Unicode.

@@ -3,35 +3,30 @@
 
 /// All labels reachable from `label` by flipping exactly one bit of one
 /// byte, keeping only results that are valid DNS label characters
-/// (`a-z`, `0-9`, `-`, no edge hyphens).
+/// (`a-z`, `0-9`, `-`, no edge hyphens), generated lazily in (byte, bit)
+/// order. Each output differs from `label` in exactly its own byte, so
+/// there are no duplicates to skip.
 ///
 /// ```
 /// use squatphi_squat::gen::bits_candidates;
-/// let cands = bits_candidates("facebook");
-/// assert!(cands.contains(&"facebnok".to_string())); // Table 1 example
+/// assert!(bits_candidates("facebook").any(|c| c == "facebnok")); // Table 1 example
 /// ```
-pub fn bits_candidates(label: &str) -> Vec<String> {
+pub fn bits_candidates(label: &str) -> impl Iterator<Item = String> + '_ {
     let bytes = label.as_bytes();
-    let mut out = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    for i in 0..bytes.len() {
-        for bit in 0..8u8 {
-            let flipped = bytes[i] ^ (1 << bit);
+    bytes.iter().enumerate().flat_map(move |(i, &byte)| {
+        (0..8u8).filter_map(move |bit| {
+            let flipped = byte ^ (1 << bit);
             let valid = flipped.is_ascii_lowercase()
                 || flipped.is_ascii_digit()
                 || (flipped == b'-' && i != 0 && i != bytes.len() - 1);
-            if !valid || flipped == bytes[i] {
-                continue;
+            if !valid {
+                return None;
             }
             let mut s = bytes.to_vec();
             s[i] = flipped;
-            let s = String::from_utf8(s).expect("ascii stays utf8");
-            if seen.insert(s.clone()) {
-                out.push(s);
-            }
-        }
-    }
-    out
+            Some(String::from_utf8(s).expect("ascii stays utf8"))
+        })
+    })
 }
 
 #[cfg(test)]
@@ -39,12 +34,16 @@ mod tests {
     use super::*;
     use squatphi_domain::distance::is_one_bit_flip;
 
+    fn bits_list(label: &str) -> Vec<String> {
+        bits_candidates(label).collect()
+    }
+
     #[test]
     fn paper_examples_present() {
-        assert!(bits_candidates("facebook").contains(&"facebnok".to_string()));
-        assert!(bits_candidates("google").contains(&"goofle".to_string()));
+        assert!(bits_list("facebook").contains(&"facebnok".to_string()));
+        assert!(bits_list("google").contains(&"goofle".to_string()));
         // facecook: 'b'(62) ^ 'c'(63) = 0x01 — one bit (Table 10).
-        assert!(bits_candidates("facebook").contains(&"facecook".to_string()));
+        assert!(bits_list("facebook").contains(&"facecook".to_string()));
     }
 
     #[test]
@@ -56,7 +55,7 @@ mod tests {
 
     #[test]
     fn no_identity_and_no_duplicates() {
-        let cands = bits_candidates("uber");
+        let cands = bits_list("uber");
         assert!(!cands.contains(&"uber".to_string()));
         let mut sorted = cands.clone();
         sorted.sort();
@@ -76,6 +75,6 @@ mod tests {
     #[test]
     fn count_is_bounded_by_8n() {
         let label = "facebook";
-        assert!(bits_candidates(label).len() <= 8 * label.len());
+        assert!(bits_candidates(label).count() <= 8 * label.len());
     }
 }

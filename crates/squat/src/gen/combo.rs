@@ -5,57 +5,61 @@
 
 use crate::words::COMBO_WORDS;
 
-/// Combo candidates for a label. Produces `word-brand`, `brand-word`,
-/// `brand-word1word2`-style attachments and the single-letter tail combos
-/// seen in the wild (`facebook-c`). Head and tail attachments alternate in
-/// the output so budget-truncated prefixes stay diverse.
+/// Combo candidates for a label, generated lazily. Produces `word-brand`,
+/// `brand-word`, `brand-word1word2`-style attachments and the single-letter
+/// tail combos seen in the wild (`facebook-c`). Head and tail attachments
+/// alternate in the output so budget-truncated prefixes stay diverse.
 ///
 /// ```
 /// use squatphi_squat::gen::combo_candidates;
-/// let c = combo_candidates("facebook");
+/// let c: Vec<String> = combo_candidates("facebook").collect();
 /// assert!(c.contains(&"facebook-story".to_string()));
 /// assert!(c.contains(&"go-facebook".to_string()));
 /// ```
-pub fn combo_candidates(label: &str) -> Vec<String> {
-    let mut out = Vec::with_capacity(COMBO_WORDS.len() * 2 + 30);
-    for w in COMBO_WORDS {
-        out.push(format!("{label}-{w}"));
-        out.push(format!("{w}-{label}"));
-    }
+pub fn combo_candidates(label: &str) -> impl Iterator<Item = String> + '_ {
+    let attached = COMBO_WORDS
+        .iter()
+        .flat_map(move |w| [format!("{label}-{w}"), format!("{w}-{label}")]);
     // Fused head words: "go-uberfreight" attaches "freight" *inside* the
     // token; model as word-brandword fusions for a few service words.
-    for w in ["freight", "pay", "store", "support", "mail"] {
-        out.push(format!("go-{label}{w}"));
-        out.push(format!("get-{label}{w}"));
-        out.push(format!("my{label}-{w}"));
-    }
+    let fused = ["freight", "pay", "store", "support", "mail"]
+        .into_iter()
+        .flat_map(move |w| {
+            [
+                format!("go-{label}{w}"),
+                format!("get-{label}{w}"),
+                format!("my{label}-{w}"),
+            ]
+        });
     // Single-letter tails (facebook-c.com in Table 10).
-    for c in 'a'..='e' {
-        out.push(format!("{label}-{c}"));
-    }
+    let letters = ('a'..='e').map(move |c| format!("{label}-{c}"));
     // Double-word tails (buy-bitcoin-with-paypal style chains).
-    out.push(format!("secure-{label}-login"));
-    out.push(format!("{label}-account-verify"));
-    out.push(format!("www-{label}"));
-    out
+    let chains = ["secure-{}-login", "{}-account-verify", "www-{}"]
+        .into_iter()
+        .map(move |pattern| pattern.replace("{}", label));
+    attached.chain(fused).chain(letters).chain(chains)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn combo_list(label: &str) -> Vec<String> {
+        combo_candidates(label).collect()
+    }
+
     #[test]
     fn paper_table10_patterns() {
-        let c = combo_candidates("facebook");
+        let c = combo_list("facebook");
         assert!(c.contains(&"facebook-story".to_string()), "Table 1");
         assert!(c.contains(&"facebook-c".to_string()), "Table 10");
-        let u = combo_candidates("uber");
+        let u = combo_list("uber");
         assert!(u.contains(&"go-uberfreight".to_string()), "Fig 14b");
-        let p = combo_candidates("paypal");
+        let p = combo_list("paypal");
         assert!(p.contains(&"paypal-cash".to_string()), "Table 10");
-        let m = combo_candidates("microsoft");
+        let m = combo_list("microsoft");
         assert!(m.contains(&"live-microsoft".to_string()), "Fig 14c style");
-        let a = combo_candidates("adp");
+        let a = combo_list("adp");
         assert!(a.contains(&"mobile-adp".to_string()), "Fig 14d");
     }
 
@@ -80,7 +84,7 @@ mod tests {
 
     #[test]
     fn head_and_tail_variants_both_present() {
-        let c = combo_candidates("ebay");
+        let c = combo_list("ebay");
         assert!(c.contains(&"ebay-selling".to_string()));
         assert!(c.contains(&"selling-ebay".to_string()));
     }

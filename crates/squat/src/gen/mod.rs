@@ -1,12 +1,15 @@
 //! Squatting-candidate generators (the DNSTwist/URLCrazy direction).
 //!
-//! Each generator takes a brand label and yields candidate *core labels*
-//! (or full domains for wrongTLD). All output is deterministic given the
-//! input; randomized subset selection is left to callers holding an RNG.
+//! Each generator takes a brand label and lazily yields candidate *core
+//! labels* (or full domains for wrongTLD), so a caller pays only for the
+//! candidates it takes. All output is deterministic given the input;
+//! randomized subset selection is left to callers holding an RNG.
 
 mod bits;
 mod combo;
 mod homograph;
+#[cfg(test)]
+mod oracle;
 mod typo;
 mod wrongtld;
 
@@ -35,6 +38,19 @@ pub struct GenBudget {
     pub wrong_tld: usize,
 }
 
+impl GenBudget {
+    /// The limit for one squatting type.
+    pub fn limit(&self, squat_type: SquatType) -> usize {
+        match squat_type {
+            SquatType::Homograph => self.homograph,
+            SquatType::Bits => self.bits,
+            SquatType::Typo => self.typo,
+            SquatType::Combo => self.combo,
+            SquatType::WrongTld => self.wrong_tld,
+        }
+    }
+}
+
 impl Default for GenBudget {
     fn default() -> Self {
         GenBudget {
@@ -56,85 +72,75 @@ pub struct Candidate {
     pub squat_type: SquatType,
 }
 
-/// Generates candidates of all five types for `brand`, bounded by `budget`.
-///
-/// The candidate labels are paired with plausible TLDs: squatters keep the
-/// brand's own TLD when they can, and fall back to cheap TLDs otherwise
-/// (the label+TLD assignment here is deterministic round-robin; the DNS
-/// snapshot generator randomizes it further).
+/// One brand's candidates of one type, generated as they are pulled.
+pub type Candidates<'a> = Box<dyn Iterator<Item = Candidate> + 'a>;
+
+/// TLDs squatters fall back to when they do not keep the brand's own.
+const CHEAP_TLDS: [&str; 10] = [
+    "com", "net", "org", "tk", "ml", "pw", "top", "online", "bid", "ga",
+];
+
+/// Generates candidates of all five types for `brand`, bounded by `budget`:
+/// the five [`candidates`] sequences in [`SquatType::ALL`] order.
 pub fn generate_all(brand: &Brand, budget: GenBudget) -> Vec<Candidate> {
+    SquatType::ALL
+        .into_iter()
+        .flat_map(|ty| candidates(brand, ty, budget.limit(ty)))
+        .collect()
+}
+
+/// The `squat_type` candidates of `brand`, at most `limit` of them,
+/// generated one at a time as the caller pulls them.
+///
+/// The label generators' first `limit` labels are paired with plausible
+/// TLDs: squatters keep the brand's own TLD when they can and fall back to
+/// cheap TLDs otherwise — the `i`-th label (counted before any is dropped)
+/// takes the own TLD when `i % 3 == 0`, else a cheap one, round-robin (the
+/// DNS snapshot generator randomizes further). A label whose ASCII name
+/// does not parse (over 63 bytes once punycoded, say) is dropped. WrongTLD
+/// yields the first `limit` valid names instead.
+pub fn candidates(brand: &Brand, squat_type: SquatType, limit: usize) -> Candidates<'_> {
     let label = brand.label.as_str();
     let own_tld = brand.domain.suffix();
-    let cheap = [
-        "com", "net", "org", "tk", "ml", "pw", "top", "online", "bid", "ga",
-    ];
-    let mut out = Vec::new();
-    let push_label = |l: &str, ty: SquatType, i: usize, out: &mut Vec<Candidate>| {
-        let ascii = if l.is_ascii() {
-            l.to_string()
-        } else {
-            match idna::to_ascii(l) {
-                Ok(a) => a,
-                Err(_) => return,
-            }
-        };
+    let labels: Box<dyn Iterator<Item = String>> = match squat_type {
+        SquatType::Homograph => Box::new(homograph_candidates(label)),
+        SquatType::Bits => Box::new(bits_candidates(label)),
+        SquatType::Typo => Box::new(typo_candidates(label).map(|(l, _)| l)),
+        SquatType::Combo => Box::new(combo_candidates(label)),
+        SquatType::WrongTld => {
+            return Box::new(
+                wrong_tld_candidates(label, own_tld)
+                    .take(limit)
+                    .map(|domain| Candidate {
+                        domain,
+                        squat_type: SquatType::WrongTld,
+                    }),
+            )
+        }
+    };
+    // One buffer per sequence: each label's ASCII name is written into it
+    // once and parsed once.
+    let mut ascii = String::new();
+    Box::new(labels.take(limit).enumerate().filter_map(move |(i, l)| {
         let tld = if i.is_multiple_of(3) {
             own_tld
         } else {
-            cheap[i % cheap.len()]
+            CHEAP_TLDS[i % CHEAP_TLDS.len()]
         };
-        if let Ok(d) = DomainName::from_parts(&ascii, tld) {
-            out.push(Candidate {
-                domain: d,
-                squat_type: ty,
-            });
-        }
-    };
-
-    for (i, l) in homograph_candidates(label)
-        .into_iter()
-        .take(budget.homograph)
-        .enumerate()
-    {
-        push_label(&l, SquatType::Homograph, i, &mut out);
-    }
-    for (i, l) in bits_candidates(label)
-        .into_iter()
-        .take(budget.bits)
-        .enumerate()
-    {
-        push_label(&l, SquatType::Bits, i, &mut out);
-    }
-    for (i, (l, _op)) in typo_candidates(label)
-        .into_iter()
-        .take(budget.typo)
-        .enumerate()
-    {
-        push_label(&l, SquatType::Typo, i, &mut out);
-    }
-    for (i, l) in combo_candidates(label)
-        .into_iter()
-        .take(budget.combo)
-        .enumerate()
-    {
-        push_label(&l, SquatType::Combo, i, &mut out);
-    }
-    for d in wrong_tld_candidates(label, own_tld)
-        .into_iter()
-        .take(budget.wrong_tld)
-    {
-        out.push(Candidate {
-            domain: d,
-            squat_type: SquatType::WrongTld,
-        });
-    }
-    out
+        ascii.clear();
+        idna::to_ascii_into(&l, &mut ascii).ok()?;
+        ascii.push('.');
+        ascii.push_str(tld);
+        let domain = DomainName::parse(&ascii).ok()?;
+        Some(Candidate { domain, squat_type })
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BrandRegistry;
+    use crate::{Brand, BrandRegistry};
+    use proptest::prelude::*;
 
     #[test]
     fn generates_all_five_types_for_facebook() {
@@ -164,6 +170,151 @@ mod tests {
         for ty in SquatType::ALL {
             assert!(cands.iter().filter(|c| c.squat_type == ty).count() <= 3);
         }
+    }
+
+    /// FNV-1a over `domain \t type \n` of every candidate, in order.
+    fn digest(cands: &[Candidate]) -> (usize, u64) {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for c in cands {
+            for b in c.domain.as_str().bytes().chain([b'\t']) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+            for b in c.squat_type.name().bytes().chain([b'\n']) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        (cands.len(), h)
+    }
+
+    fn uniform(limit: usize) -> GenBudget {
+        GenBudget {
+            homograph: limit,
+            bits: limit,
+            typo: limit,
+            combo: limit,
+            wrong_tld: limit,
+        }
+    }
+
+    /// Registry brands plus labels long enough that some of their combo and
+    /// IDN candidates overflow 63 bytes and are dropped after their TLD
+    /// slot was counted.
+    fn golden_brands() -> Vec<Brand> {
+        let reg = BrandRegistry::paper();
+        let mut brands: Vec<Brand> = reg.brands().iter().step_by(23).cloned().collect();
+        for (label, tld) in [
+            (
+                "paypalsecureaccountverificationcenterloginservicesupport",
+                "com",
+            ),
+            ("mobilebankingsecureloginverifyaccountwalletsupport", "tk"),
+            ("m-w1", "net"),
+            ("x", "io"),
+        ] {
+            brands.push(brand(label, tld));
+        }
+        brands
+    }
+
+    fn brand(label: &str, tld: &str) -> Brand {
+        Brand {
+            id: 0,
+            label: label.to_string(),
+            domain: DomainName::from_parts(label, tld).unwrap(),
+            category: crate::Category::Business,
+            alexa_rank: 1,
+            phishtank_target: false,
+        }
+    }
+
+    fn only(budget: GenBudget, ty: SquatType, brand: &Brand) -> Vec<Candidate> {
+        let mut list = oracle::generate_all(brand, budget);
+        list.retain(|c| c.squat_type == ty);
+        list
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Each per-type sequence is the eager oracle's list of that type at
+        /// the same limit, and a prefix of it at any larger limit — which is
+        /// what the snapshot planter relies on when it stops pulling early.
+        /// Long labels make the filter drop candidates after their TLD slot.
+        #[test]
+        fn per_type_sequences_are_prefixes_of_the_eager_lists(
+            label in "([a-z0-9]{1,8}|[a-z][a-z0-9-]{0,57}[a-z0-9])",
+            tld in 0usize..4,
+            limit in 0usize..60,
+            extra in 0usize..200,
+        ) {
+            let brand = brand(&label, ["com", "tk", "net", "io"][tld]);
+            for ty in SquatType::ALL {
+                let got: Vec<Candidate> = candidates(&brand, ty, limit).collect();
+                prop_assert_eq!(&got, &only(uniform(limit), ty, &brand));
+                let wide = only(uniform(limit + extra), ty, &brand);
+                prop_assert!(wide.starts_with(&got), "{ty} at {limit} is not a prefix");
+                let pulled: Vec<Candidate> =
+                    candidates(&brand, ty, limit + extra).take(got.len()).collect();
+                prop_assert_eq!(&pulled, &got);
+            }
+        }
+    }
+
+    /// Pins `generate_all` (every domain and type, in order) over all 702
+    /// brands at the snapshot planter's budget; the digest was taken from
+    /// the eager generators this lazy path replaced.
+    #[test]
+    fn generate_all_golden_over_the_paper_registry() {
+        let budget = GenBudget {
+            homograph: 400,
+            bits: 200,
+            typo: 600,
+            combo: 800,
+            wrong_tld: 25,
+        };
+        let mut all = Vec::new();
+        for brand in BrandRegistry::paper().brands() {
+            all.extend(generate_all(brand, budget));
+        }
+        assert_eq!(digest(&all), (370_379, 15_911_169_911_794_292_516));
+    }
+
+    /// The same pin at the default budget, the event stream's pool budget
+    /// and uniform limits 0, 1 and 3, on a registry subset plus long labels.
+    #[test]
+    fn generate_all_golden_at_small_budgets() {
+        let pool = GenBudget {
+            homograph: 60,
+            bits: 40,
+            typo: 120,
+            combo: 200,
+            wrong_tld: 10,
+        };
+        let brands = golden_brands();
+        let mut got = Vec::new();
+        for budget in [
+            GenBudget::default(),
+            pool,
+            uniform(0),
+            uniform(1),
+            uniform(3),
+        ] {
+            let mut all = Vec::new();
+            for brand in &brands {
+                all.extend(generate_all(brand, budget));
+            }
+            got.push(digest(&all));
+        }
+        assert_eq!(
+            got,
+            vec![
+                (16_343, 6_473_998_657_130_817_027),
+                (11_247, 15_521_935_258_404_265_285),
+                (0, 14_695_981_039_346_656_037),
+                (174, 17_047_659_900_644_432_035),
+                (523, 3_185_718_508_586_253_774),
+            ]
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub enum TypoOp {
 
 /// QWERTY adjacency used to keep insertions plausible — a fat-fingered key
 /// lands on a neighbor of the intended key.
-fn qwerty_neighbors(c: char) -> &'static str {
+pub(super) fn qwerty_neighbors(c: char) -> &'static str {
     match c {
         'q' => "wa1",
         'w' => "qes2",
@@ -58,7 +58,7 @@ fn qwerty_neighbors(c: char) -> &'static str {
     }
 }
 
-fn valid_label(l: &str) -> bool {
+pub(super) fn valid_label(l: &str) -> bool {
     !l.is_empty()
         && !l.starts_with('-')
         && !l.ends_with('-')
@@ -68,67 +68,76 @@ fn valid_label(l: &str) -> bool {
 }
 
 /// All typo candidates for a label, tagged with the operation that produced
-/// them. Deterministic order: omissions, repetitions, swaps, insertions.
+/// them, generated lazily. Deterministic order: omissions, repetitions,
+/// swaps, insertions; duplicates, the label itself and invalid DNS labels
+/// are skipped.
 ///
 /// ```
 /// use squatphi_squat::gen::typo_candidates;
-/// let cands = typo_candidates("facebook");
+/// let cands: Vec<_> = typo_candidates("facebook").collect();
 /// assert!(cands.iter().any(|(l, _)| l == "fcaebook")); // swap (Table 1)
 /// assert!(cands.iter().any(|(l, _)| l == "faceboook")); // repetition
 /// ```
-pub fn typo_candidates(label: &str) -> Vec<(String, TypoOp)> {
-    let chars: Vec<char> = label.chars().collect();
-    let mut out = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    let mut push = |s: String, op: TypoOp, out: &mut Vec<(String, TypoOp)>| {
-        if s != label && valid_label(&s) && seen.insert(s.clone()) {
-            out.push((s, op));
-        }
-    };
-
+pub fn typo_candidates(label: &str) -> impl Iterator<Item = (String, TypoOp)> + '_ {
     // Omission: delete each character.
-    for i in 0..chars.len() {
+    let omissions = label.char_indices().map(move |(at, c)| {
         let mut s = String::with_capacity(label.len());
-        s.extend(chars.iter().take(i));
-        s.extend(chars.iter().skip(i + 1));
-        push(s, TypoOp::Omission, &mut out);
-    }
+        s.push_str(&label[..at]);
+        s.push_str(&label[at + c.len_utf8()..]);
+        (s, TypoOp::Omission)
+    });
     // Repetition: double each character.
-    for i in 0..chars.len() {
-        let mut s = String::with_capacity(label.len() + 1);
-        s.extend(chars.iter().take(i + 1));
-        s.push(chars[i]);
-        s.extend(chars.iter().skip(i + 1));
-        push(s, TypoOp::Repetition, &mut out);
-    }
+    let repetitions = label.char_indices().map(move |(at, c)| {
+        let end = at + c.len_utf8();
+        let mut s = String::with_capacity(label.len() + c.len_utf8());
+        s.push_str(&label[..end]);
+        s.push(c);
+        s.push_str(&label[end..]);
+        (s, TypoOp::Repetition)
+    });
     // Swap: transpose each adjacent pair.
-    for i in 0..chars.len().saturating_sub(1) {
-        let mut c = chars.clone();
-        c.swap(i, i + 1);
-        push(c.into_iter().collect(), TypoOp::Swap, &mut out);
-    }
+    let swaps = label
+        .char_indices()
+        .zip(label.chars().skip(1))
+        .map(move |((at, c), next)| {
+            let mut s = String::with_capacity(label.len());
+            s.push_str(&label[..at]);
+            s.push(next);
+            s.push(c);
+            s.push_str(&label[at + c.len_utf8() + next.len_utf8()..]);
+            (s, TypoOp::Swap)
+        });
     // Insertion: QWERTY-neighbor of the key at each boundary, plus the
     // always-popular `0`/digit insertions seen in the wild (`facebo0ok`).
-    for i in 0..=chars.len() {
+    let boundaries = label
+        .char_indices()
+        .map(|(at, _)| at)
+        .chain(std::iter::once(label.len()));
+    let insertions = boundaries.flat_map(move |at| {
         let mut pool: Vec<char> = Vec::new();
-        if i > 0 {
-            pool.extend(qwerty_neighbors(chars[i - 1]).chars());
+        if let Some(before) = label[..at].chars().next_back() {
+            pool.extend(qwerty_neighbors(before).chars());
         }
-        if i < chars.len() {
-            pool.extend(qwerty_neighbors(chars[i]).chars());
+        if let Some(after) = label[at..].chars().next() {
+            pool.extend(qwerty_neighbors(after).chars());
         }
         pool.push('0');
         pool.sort_unstable();
         pool.dedup();
-        for c in pool {
+        pool.into_iter().map(move |c| {
             let mut s = String::with_capacity(label.len() + 1);
-            s.extend(chars.iter().take(i));
+            s.push_str(&label[..at]);
             s.push(c);
-            s.extend(chars.iter().skip(i));
-            push(s, TypoOp::Insertion, &mut out);
-        }
-    }
-    out
+            s.push_str(&label[at..]);
+            (s, TypoOp::Insertion)
+        })
+    });
+    let mut seen = std::collections::HashSet::new();
+    omissions
+        .chain(repetitions)
+        .chain(swaps)
+        .chain(insertions)
+        .filter(move |(s, _)| s != label && valid_label(s) && seen.insert(s.clone()))
 }
 
 #[cfg(test)]
@@ -137,7 +146,7 @@ mod tests {
 
     #[test]
     fn paper_table1_examples_present() {
-        let cands = typo_candidates("facebook");
+        let cands: Vec<_> = typo_candidates("facebook").collect();
         let labels: Vec<&str> = cands.iter().map(|(l, _)| l.as_str()).collect();
         assert!(labels.contains(&"fcaebook"), "vowel-swap example");
         // facebo0ok = insert '0' between o and o.
@@ -148,8 +157,7 @@ mod tests {
 
     #[test]
     fn ops_are_tagged_correctly() {
-        let cands = typo_candidates("ab");
-        for (l, op) in &cands {
+        for (l, op) in typo_candidates("ab") {
             match op {
                 TypoOp::Omission => assert_eq!(l.len(), 1),
                 TypoOp::Repetition | TypoOp::Insertion => assert_eq!(l.len(), 3),
@@ -160,7 +168,7 @@ mod tests {
 
     #[test]
     fn no_duplicates_or_identity() {
-        let cands = typo_candidates("paypal");
+        let cands: Vec<_> = typo_candidates("paypal").collect();
         let mut labels: Vec<&String> = cands.iter().map(|(l, _)| l).collect();
         let before = labels.len();
         labels.sort();
@@ -179,7 +187,6 @@ mod tests {
     #[test]
     fn single_char_label_degenerates_gracefully() {
         // Omission of a 1-char label would be empty — must be filtered.
-        let cands = typo_candidates("a");
-        assert!(cands.iter().all(|(l, _)| !l.is_empty()));
+        assert!(typo_candidates("a").all(|(l, _)| !l.is_empty()));
     }
 }

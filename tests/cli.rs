@@ -35,6 +35,16 @@ fn gen_respects_limit() {
 }
 
 #[test]
+fn gen_rejects_a_zero_limit() {
+    let err = parse_args(&args("gen facebook --limit 0")).expect_err("a zero limit lists nothing");
+    assert!(
+        err.to_string().contains("--limit needs a positive integer"),
+        "{err}"
+    );
+    assert!(run_line("gen facebook --limit 1").is_ok());
+}
+
+#[test]
 fn scan_zone_fixture_end_to_end() {
     let dir = std::env::temp_dir().join("squatphi-cli-integration");
     std::fs::create_dir_all(&dir).expect("mkdir");
