@@ -15,10 +15,11 @@
 # on the seed-2020 stream whose fingerprint once did, then on the
 # interrupted run (--stop-after) as a second pair (watch-stop-{a,b}.json);
 # `repro` on Table 7 (the cross-validation fan-out), then on the stdout
-# of Tables 3 and 4 as a second pair (repro-tables-{a,b}.txt) at
-# --scale 400: the smallest run (divisors tried in steps of 50) in which
-# both tables have tied rows, so their tie-break is what the cmp checks.
-# At 450 Table 3's two rows do not tie; at 400 each table ties five.
+# of every experiment (`repro all`) as a second pair (repro-all-{a,b}.txt)
+# at --scale 400: the smallest run (divisors tried in steps of 50) in
+# which Tables 3 and 4 both have tied rows, so their tie-break is checked
+# along with the detection tables built on the OCR features. At 450
+# Table 3's two rows do not tie; at 400 each table ties five.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -52,7 +53,7 @@ squatphi() { cargo run --release -q -p squatphi-cli --bin squatphi -- "$@"; }
 # Where one side's output lands: JSON surfaces, or a report's stdout.
 out_file() {
     case $1 in
-        repro-tables) echo "$out/$1-$2.txt" ;;
+        repro-all) echo "$out/$1-$2.txt" ;;
         *) echo "$out/$1-$2.json" ;;
     esac
 }
@@ -77,9 +78,9 @@ run() {
             cargo run --release -q -p squatphi-experiments --bin repro -- \
                 --scale 2000 --threads "${threads[$side]}" --json "$json" table7
             ;;
-        repro-tables)
+        repro-all)
             cargo run --release -q -p squatphi-experiments --bin repro -- \
-                --scale 400 --threads "${threads[$side]}" table3 table4 > "$json"
+                --scale 400 --threads "${threads[$side]}" all > "$json"
             ;;
         *)
             echo "determinism: unknown surface '$name'" >&2
@@ -103,5 +104,5 @@ fi
 compare "$surface"
 case $surface in
     watch) compare watch-stop ;;
-    repro) compare repro-tables ;;
+    repro) compare repro-all ;;
 esac

@@ -13,7 +13,7 @@ fn main() {
         }
     };
     if matches!(cmd, Command::Page { .. }) {
-        eprintln!("[squatphi] training the classifier on the ground-truth feed (one-time, ~10s) …");
+        eprintln!("[squatphi] training the classifier on the ground-truth feed …");
     }
     match commands::run(&cmd) {
         Ok(report) => print!("{report}"),

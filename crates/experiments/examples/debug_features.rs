@@ -81,4 +81,3 @@ fn name_of(fx: &FeatureExtractor, d: usize) -> String {
     }
     format!("keyword#{d}")
 }
-// (appended) — per-template RF score audit lives in debug_scores.rs

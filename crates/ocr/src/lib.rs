@@ -122,6 +122,7 @@ pub fn try_recognize(bmp: &Bitmap, config: &OcrConfig) -> Result<OcrResult, OcrE
 pub fn recognize(bmp: &Bitmap, config: &OcrConfig) -> OcrResult {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut lines = Vec::new();
+    let mut votes = Votes::default();
 
     // Find text bands: contiguous runs of rows containing ink.
     let mut y = 0usize;
@@ -140,7 +141,7 @@ pub fn recognize(bmp: &Bitmap, config: &OcrConfig) -> OcrResult {
         if band_h < GLYPH_H {
             continue; // sub-glyph noise
         }
-        if let Some(text) = read_band(bmp, band_top, scale, config, &mut rng) {
+        if let Some(text) = read_band(bmp, band_top, scale, config, &mut votes, &mut rng) {
             if !text.trim().is_empty() {
                 lines.push(OcrLine {
                     text,
@@ -172,6 +173,62 @@ fn leftmost_ink(bmp: &Bitmap, top: usize, rows: usize, threshold: u8) -> Option<
         .min()
 }
 
+/// One band binarised at one scale. For each column `x`, one byte whose
+/// bit `gy` says whether the `scale`×`scale` block at `x` in glyph row `gy`
+/// holds a majority of ink, so a cell at any grid phase is 5 lookups. The
+/// buffers are reused from band to band.
+#[derive(Default)]
+struct Votes {
+    /// Block votes per column start `0..=width - scale`.
+    columns: Vec<u8>,
+    /// Ink pixels per column over one glyph row's `scale` pixel rows.
+    counts: Vec<u8>,
+    /// Ink pixels per block (the sum of `scale` adjacent `counts`).
+    blocks: Vec<u8>,
+    width: usize,
+    scale: usize,
+}
+
+impl Votes {
+    /// Binarises rows `top..top + GLYPH_H * scale`, all inside `bmp`.
+    fn fill(&mut self, bmp: &Bitmap, top: usize, scale: usize, threshold: u8) {
+        let width = bmp.width();
+        let starts = (width + 1).saturating_sub(scale);
+        (self.width, self.scale) = (width, scale);
+        self.columns.clear();
+        self.columns.resize(starts, 0);
+        self.counts.resize(width, 0);
+        self.blocks.resize(starts, 0);
+        // `recognize` clamps the scale to 4: at most 16 pixels a block, so
+        // every count, sum and doubled sum fits a byte.
+        let majority = (scale * scale) as u8;
+        for gy in 0..GLYPH_H {
+            self.counts.fill(0);
+            for y in top + gy * scale..top + (gy + 1) * scale {
+                for (count, &p) in self.counts.iter_mut().zip(row(bmp, y)) {
+                    *count += u8::from(p >= threshold);
+                }
+            }
+            self.blocks.copy_from_slice(&self.counts[..starts]);
+            for dx in 1..scale.min(width) {
+                for (block, &count) in self.blocks.iter_mut().zip(&self.counts[dx..]) {
+                    *block += count;
+                }
+            }
+            for (column, &ink) in self.columns.iter_mut().zip(&self.blocks) {
+                *column |= u8::from(ink * 2 >= majority) << gy;
+            }
+        }
+    }
+
+    /// The cell whose left edge is column `x` (`x + 5·scale` ≤ width),
+    /// packed as [`pack`] packs a glyph.
+    fn cell(&self, x: usize) -> u64 {
+        let column = |gx: usize| u64::from(self.columns[x + gx * self.scale]);
+        (0..GLYPH_W).fold(0, |word, gx| word << 8 | column(gx))
+    }
+}
+
 /// Reads one band as a line of glyphs at `scale`, trying several grid
 /// phases: glyphs like `i` have a blank leftmost column, so the first ink
 /// pixel does not necessarily sit on the glyph-cell boundary. The phase
@@ -181,27 +238,24 @@ fn read_band(
     top: usize,
     scale: usize,
     config: &OcrConfig,
+    votes: &mut Votes,
     rng: &mut StdRng,
 ) -> Option<String> {
     let ink_left = leftmost_ink(bmp, top, GLYPH_H * scale, config.threshold)?;
+    votes.fill(bmp, top, scale, config.threshold);
     let mut best: Option<(usize, String)> = None;
     for phase in 0..GLYPH_W {
         let start = match ink_left.checked_sub(phase * scale) {
             Some(s) => s,
             None => break,
         };
-        if let Some(text) = read_band_at(bmp, start, top, scale, config) {
-            let unknowns = text.chars().filter(|&c| c == '?').count();
-            let better = match &best {
-                None => true,
-                Some((u, _)) => unknowns < *u,
-            };
-            if better {
-                best = Some((unknowns, text));
-            }
-            if matches!(best, Some((0, _))) {
-                break;
-            }
+        let text = read_band_at(votes, start, config.mismatch_budget);
+        let unknowns = text.chars().filter(|&c| c == '?').count();
+        if best.as_ref().is_none_or(|(u, _)| unknowns < *u) {
+            best = Some((unknowns, text));
+        }
+        if unknowns == 0 {
+            break;
         }
     }
     let (_, text) = best?;
@@ -209,20 +263,14 @@ fn read_band(
 }
 
 /// Reads a band with the glyph grid anchored at `left` (no noise).
-fn read_band_at(
-    bmp: &Bitmap,
-    left: usize,
-    top: usize,
-    scale: usize,
-    config: &OcrConfig,
-) -> Option<String> {
+fn read_band_at(votes: &Votes, left: usize, budget: u32) -> String {
     let mut out = String::new();
     let mut x = left;
-    let advance = ADVANCE * scale;
+    let advance = ADVANCE * votes.scale;
     let mut blank_run = 0usize;
-    while x + GLYPH_W * scale <= bmp.width() {
-        let cell = sample_cell(bmp, x, top, scale, config.threshold);
-        if cell == [0u8; GLYPH_H] {
+    while x + GLYPH_W * votes.scale <= votes.width {
+        let cell = votes.cell(x);
+        if cell == 0 {
             blank_run += 1;
             if blank_run > 24 {
                 break; // end of line content
@@ -236,10 +284,11 @@ fn read_band_at(
             continue;
         }
         blank_run = 0;
-        out.push(match_glyph(&cell, config.mismatch_budget));
+        out.push(match_glyph(cell, budget));
         x += advance;
     }
-    Some(out.trim_end().to_string())
+    out.truncate(out.trim_end().len());
+    out
 }
 
 /// Applies the recognition-error model to a whole line.
@@ -255,48 +304,35 @@ fn apply_noise_line(text: &str, config: &OcrConfig, rng: &mut StdRng) -> String 
         .collect()
 }
 
-/// Samples a 5×7 cell at (x, top) with box-downsampling for scale > 1.
-fn sample_cell(bmp: &Bitmap, x: usize, top: usize, scale: usize, threshold: u8) -> [u8; GLYPH_H] {
-    let mut cell = [0u8; GLYPH_H];
-    for (gy, row) in cell.iter_mut().enumerate() {
-        for gx in 0..GLYPH_W {
-            // Majority vote over the scale×scale block.
-            let mut ink = 0usize;
-            for dy in 0..scale {
-                for dx in 0..scale {
-                    if bmp.get(x + gx * scale + dx, top + gy * scale + dy) >= threshold {
-                        ink += 1;
-                    }
-                }
-            }
-            if ink * 2 >= scale * scale {
-                *row |= 1 << (GLYPH_W - 1 - gx);
-            }
-        }
-    }
-    cell
-}
-
-/// A 5×7 cell as one word, a row per byte, so a template comparison is
-/// one XOR and one popcount.
+/// A 5×7 cell (a row per byte, leftmost pixel in bit 4) as one word, a
+/// column per byte with glyph row `gy` in bit `gy`, so a template
+/// comparison is one XOR and one popcount.
 fn pack(cell: &[u8; GLYPH_H]) -> u64 {
-    cell.iter().fold(0, |word, &row| word << 8 | u64::from(row))
+    (0..GLYPH_W).fold(0, |word, gx| {
+        let shift = GLYPH_W - 1 - gx;
+        let column = (0..GLYPH_H).fold(0, |bits, gy| bits | (cell[gy] >> shift & 1) << gy);
+        word << 8 | u64::from(column)
+    })
 }
 
-/// Best-matching glyph under the mismatch budget; `?` when nothing fits.
-fn match_glyph(cell: &[u8; GLYPH_H], budget: u32) -> char {
+/// Best-matching glyph for a [`pack`]ed cell under the mismatch budget;
+/// `?` when nothing fits.
+fn match_glyph(cell: u64, budget: u32) -> char {
     static ATLAS: OnceLock<Vec<(char, u64)>> = OnceLock::new();
     let atlas = ATLAS.get_or_init(|| {
         let glyphs = GLYPHS.iter().enumerate();
         let packed = glyphs.map(|(i, g)| (charset_char(i), pack(g)));
         packed.filter(|&(c, _)| c != ' ').collect()
     });
-    let cell = pack(cell);
     let mut best = ('?', u32::MAX);
     for &(c, glyph) in atlas {
         let mismatch = (cell ^ glyph).count_ones();
         if mismatch < best.1 {
             best = (c, mismatch);
+            // Only a strictly smaller count replaces the best: none can.
+            if mismatch == 0 {
+                break;
+            }
         }
     }
     if best.1 <= budget {
@@ -424,7 +460,7 @@ mod tests {
             for _ in 0..=8 {
                 for budget in [0, 4, 35] {
                     assert_eq!(
-                        match_glyph(&cell, budget),
+                        match_glyph(pack(&cell), budget),
                         match_glyph_by_rows(&cell, budget),
                         "cell {cell:?} budget {budget}"
                     );

@@ -134,15 +134,26 @@ impl Bitmap {
         }
         // Per target row: sum the band's source rows column-wise, one
         // whole-row slice at a time, then each cell sums its columns.
-        // `u32` holds 16M full-ink rows per column.
+        // Rows add up in `u16` lanes (twice as many per vector as `u32`),
+        // folded into the `u32` column sums every `FOLD_ROWS` rows, before
+        // a lane can overflow; `u32` holds 16M full-ink rows per column.
+        const FOLD_ROWS: usize = u16::MAX as usize / u8::MAX as usize;
+        let mut lanes = vec![0u16; self.width];
         let mut cols = vec![0u32; self.width];
         for (ty, target) in out.pixels.chunks_exact_mut(w).enumerate() {
             let y0 = ty * self.height / h;
             let y1 = (((ty + 1) * self.height).div_ceil(h)).max(y0 + 1);
             cols.fill(0);
-            for row in self.pixels[y0 * self.width..y1 * self.width].chunks_exact(self.width) {
-                for (c, &p) in cols.iter_mut().zip(row) {
-                    *c += u32::from(p);
+            let band = &self.pixels[y0 * self.width..y1 * self.width];
+            for rows in band.chunks(FOLD_ROWS * self.width) {
+                lanes.fill(0);
+                for row in rows.chunks_exact(self.width) {
+                    for (l, &p) in lanes.iter_mut().zip(row) {
+                        *l += u16::from(p);
+                    }
+                }
+                for (c, &l) in cols.iter_mut().zip(&lanes) {
+                    *c += u32::from(l);
                 }
             }
             for (tx, cell) in target.iter_mut().enumerate() {
