@@ -1,30 +1,8 @@
-//! DNS wire codec and snapshot-scan throughput.
+//! Snapshot-scan and snapshot-generation throughput.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use squatphi_dnsdb::{scan, synth, SnapshotConfig};
-use squatphi_dnswire::{Message, RData, Rcode, RecordType, ResourceRecord};
 use squatphi_squat::{BrandRegistry, SquatDetector};
-use std::net::Ipv4Addr;
-
-fn bench_wire_codec(c: &mut Criterion) {
-    let query = Message::query(0x4242, "mail.google-app.de", RecordType::A);
-    let mut response = Message::response_to(&query, Rcode::NoError);
-    for i in 0..4 {
-        response.answers.push(ResourceRecord {
-            name: "mail.google-app.de".to_string(),
-            ttl: 300,
-            rdata: RData::A(Ipv4Addr::new(198, 51, 100, i)),
-        });
-    }
-    let wire = response.encode().expect("encode");
-
-    c.bench_function("dnswire/encode_response", |b| {
-        b.iter(|| black_box(&response).encode().expect("encode"))
-    });
-    c.bench_function("dnswire/decode_response", |b| {
-        b.iter(|| Message::decode(black_box(&wire)).expect("decode"))
-    });
-}
 
 fn bench_scan(c: &mut Criterion) {
     let registry = BrandRegistry::paper();
@@ -66,10 +44,5 @@ fn bench_snapshot_generation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_wire_codec,
-    bench_scan,
-    bench_snapshot_generation
-);
+criterion_group!(benches, bench_scan, bench_snapshot_generation);
 criterion_main!(benches);

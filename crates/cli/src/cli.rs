@@ -354,6 +354,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                         width = rest
                             .get(i)
                             .and_then(|s| s.parse().ok())
+                            .filter(|&w| w > 0)
                             .ok_or_else(|| err("--width needs a positive integer"))?;
                     }
                     other if path.is_none() => path = Some(other.to_string()),
@@ -548,12 +549,16 @@ fn parse_fault_plan(spec: &str, seed: u64) -> Result<FaultPlan, CliError> {
     } else if let Some(k) = mode.strip_prefix("every-") {
         FaultPlan::fail_every(
             k.parse()
-                .map_err(|_| err("--chaos every-K needs an integer K >= 1"))?,
+                .ok()
+                .filter(|&k| k >= 1)
+                .ok_or_else(|| err("--chaos every-K needs an integer K >= 1"))?,
         )
     } else if let Some(p) = mode.strip_prefix("permille-") {
         FaultPlan::fail_permille(
             p.parse()
-                .map_err(|_| err("--chaos permille-P needs an integer P in 0..=1000"))?,
+                .ok()
+                .filter(|&p| p <= 1000)
+                .ok_or_else(|| err("--chaos permille-P needs an integer P in 0..=1000"))?,
         )
     } else {
         return Err(err(format!(
@@ -680,6 +685,28 @@ mod tests {
                 .with_seed(7)
         );
         assert!(parse_fault_plan("every-x", 0).is_err());
+        // `FaultPlan` clamps out-of-range values for library callers; the
+        // CLI refuses them rather than run a plan other than the one asked
+        // for.
+        assert_eq!(
+            parse_fault_plan("every-1", 0).unwrap(),
+            FaultPlan::fail_every(1)
+        );
+        assert_eq!(
+            parse_fault_plan("permille-1000", 0).unwrap(),
+            FaultPlan::fail_permille(1000)
+        );
+        assert_eq!(
+            parse_fault_plan("permille-0", 0).unwrap(),
+            FaultPlan::fail_permille(0)
+        );
+        let every = parse_fault_plan("every-0", 0).unwrap_err().to_string();
+        assert!(every.contains("K >= 1"), "{every}");
+        let permille = parse_fault_plan("permille-5000", 0)
+            .unwrap_err()
+            .to_string();
+        assert!(permille.contains("P in 0..=1000"), "{permille}");
+        assert!(parse_fault_plan("permille-1001:timeout", 0).is_err());
     }
 
     #[test]
@@ -699,6 +726,8 @@ mod tests {
             }
         );
         assert!(parse_args(&args("render --width 60")).is_err());
+        let zero = parse_args(&args("render p.html --width 0")).unwrap_err();
+        assert!(zero.to_string().contains("positive integer"), "{zero}");
     }
 
     #[test]

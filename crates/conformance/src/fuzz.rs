@@ -1,30 +1,15 @@
-//! Never-panic fuzzers: `Message::decode` over byte-level mutations of
-//! valid packets, and `html::parse`/`tokenize` over structure-aware
-//! mutations of realistic documents. Both replay the on-disk corpus
-//! (`corpus/`, compiled in with `include_str!` so the CLI works from any
-//! working directory) before exploring seeded mutants. The only property
-//! checked is *totality*: the decoder/parser may reject anything, but it
+//! Never-panic fuzzer: `html::parse`/`tokenize` over structure-aware
+//! mutations of realistic documents. It replays the on-disk corpus
+//! (`corpus/html/`, compiled in with `include_str!` so the CLI works from
+//! any working directory) before exploring seeded mutants. The only
+//! property checked is *totality*: the parser may reject anything, but it
 //! must return, not panic or hang.
 
 use crate::report::Violation;
-use crate::shrink::{minimize_bytes, minimize_str};
+use crate::shrink::minimize_str;
 use crate::Params;
 use rand::prelude::*;
-use squatphi_dnswire::{Message, Rcode, RecordType, ResourceRecord};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// The DNS corpus: hex dumps, `#` comment lines ignored.
-const DNS_CORPUS: &[(&str, &str)] = &[
-    ("query_a.hex", include_str!("../corpus/dns/query_a.hex")),
-    (
-        "pointer_self_cycle.hex",
-        include_str!("../corpus/dns/pointer_self_cycle.hex"),
-    ),
-    (
-        "truncated_header.hex",
-        include_str!("../corpus/dns/truncated_header.hex"),
-    ),
-];
 
 /// The HTML corpus, replayed verbatim and used as mutation seeds.
 const HTML_CORPUS: &[(&str, &str)] = &[
@@ -41,146 +26,6 @@ const HTML_CORPUS: &[(&str, &str)] = &[
         include_str!("../corpus/html/evasive_entities.html"),
     ),
 ];
-
-/// Parses a corpus hex dump (whitespace and `#` comments ignored).
-pub(crate) fn parse_hex(contents: &str) -> Vec<u8> {
-    let digits: Vec<u8> = contents
-        .lines()
-        .filter(|l| !l.trim_start().starts_with('#'))
-        .flat_map(|l| l.bytes())
-        .filter(u8::is_ascii_hexdigit)
-        .collect();
-    digits
-        .chunks(2)
-        .filter(|c| c.len() == 2)
-        .map(|c| {
-            let hi = (c[0] as char).to_digit(16).unwrap() as u8;
-            let lo = (c[1] as char).to_digit(16).unwrap() as u8;
-            (hi << 4) | lo
-        })
-        .collect()
-}
-
-fn hex_string(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-fn decode_panics(bytes: &[u8]) -> bool {
-    catch_unwind(AssertUnwindSafe(|| {
-        let _ = Message::decode(bytes);
-    }))
-    .is_err()
-}
-
-/// Valid seed packets whose mutants the fuzzer explores.
-fn seed_packets() -> Vec<Vec<u8>> {
-    let q = Message::query(0xBEEF, "mail.paypal-secure.com.ua", RecordType::Mx);
-    let mut r = Message::response_to(&q, Rcode::NoError);
-    r.answers.push(ResourceRecord {
-        name: "mail.paypal-secure.com.ua".into(),
-        ttl: 300,
-        rdata: squatphi_dnswire::RData::Mx {
-            preference: 10,
-            exchange: "mx1.paypal-secure.com.ua".into(),
-        },
-    });
-    r.authority.push(ResourceRecord {
-        name: "com.ua".into(),
-        ttl: 3600,
-        rdata: squatphi_dnswire::RData::Soa {
-            mname: "ns1.com.ua".into(),
-            rname: "hostmaster.com.ua".into(),
-            serial: 2024,
-        },
-    });
-    vec![
-        q.encode().expect("query encodes"),
-        r.encode().expect("response encodes"),
-    ]
-}
-
-fn mutate_bytes(rng: &mut StdRng, base: &[u8]) -> Vec<u8> {
-    let mut out = base.to_vec();
-    for _ in 0..rng.gen_range(1..=4usize) {
-        if out.is_empty() {
-            out.push(rng.gen::<u8>());
-            continue;
-        }
-        match rng.gen_range(0..6u8) {
-            // Bit flip.
-            0 => {
-                let i = rng.gen_range(0..out.len());
-                out[i] ^= 1 << rng.gen_range(0..8u8);
-            }
-            // Byte overwrite.
-            1 => {
-                let i = rng.gen_range(0..out.len());
-                out[i] = rng.gen::<u8>();
-            }
-            // Truncate.
-            2 => out.truncate(rng.gen_range(0..=out.len())),
-            // Insert random bytes.
-            3 => {
-                let i = rng.gen_range(0..=out.len());
-                for _ in 0..rng.gen_range(1..=8usize) {
-                    out.insert(i, rng.gen::<u8>());
-                }
-            }
-            // Plant a compression pointer at a random offset.
-            4 => {
-                let i = rng.gen_range(0..out.len());
-                out[i] = 0xC0 | rng.gen_range(0..4u8);
-                if i + 1 < out.len() {
-                    out[i + 1] = rng.gen::<u8>();
-                }
-            }
-            // Inflate a section count.
-            _ => {
-                if out.len() >= 12 {
-                    let off = [4usize, 6, 8][rng.gen_range(0..3usize)];
-                    out[off] = rng.gen::<u8>();
-                    out[off + 1] = 0xFF;
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Corpus replay + seeded byte mutations through `Message::decode`.
-pub(crate) fn run_dnswire(seed: u64, params: &Params) -> (u64, Vec<Violation>) {
-    let mut cases = 0u64;
-    let mut violations = Vec::new();
-    let check = |bytes: &[u8], origin: &str, violations: &mut Vec<Violation>| {
-        if decode_panics(bytes) {
-            let shrunk = minimize_bytes(bytes, decode_panics);
-            violations.push(Violation {
-                oracle: "dnswire-fuzz",
-                input: hex_string(&shrunk),
-                detail: format!("Message::decode panicked ({origin})"),
-            });
-        }
-    };
-
-    for (name, contents) in DNS_CORPUS {
-        cases += 1;
-        check(
-            &parse_hex(contents),
-            &format!("corpus {name}"),
-            &mut violations,
-        );
-    }
-
-    let seeds = seed_packets();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x646e_735f_6675_7a7a); // "dns_fuzz"
-    for i in 0..params.dns_fuzz_cases {
-        let base = &seeds[i % seeds.len()];
-        let mutant = mutate_bytes(&mut rng, base);
-        cases += 1;
-        check(&mutant, "mutant", &mut violations);
-    }
-    (cases, violations)
-}
 
 fn html_panics(input: &str) -> bool {
     catch_unwind(AssertUnwindSafe(|| {
@@ -288,14 +133,6 @@ mod tests {
     use crate::Budget;
 
     #[test]
-    fn corpus_hex_parses() {
-        let q = parse_hex(DNS_CORPUS[0].1);
-        assert!(Message::decode(&q).is_ok(), "query_a corpus must be valid");
-        assert!(Message::decode(&parse_hex(DNS_CORPUS[1].1)).is_err());
-        assert!(Message::decode(&parse_hex(DNS_CORPUS[2].1)).is_err());
-    }
-
-    #[test]
     fn corpus_html_is_nonempty() {
         for (name, contents) in HTML_CORPUS {
             assert!(!contents.trim().is_empty(), "{name} empty");
@@ -305,21 +142,10 @@ mod tests {
     #[test]
     fn fuzzers_are_clean_and_deterministic() {
         let mut p = Budget::Ci.params();
-        p.dns_fuzz_cases = 250;
         p.html_fuzz_cases = 120;
-        let (c1, v1) = run_dnswire(11, &p);
-        let (c2, v2) = run_dnswire(11, &p);
+        let (c1, v1) = run_html(11, &p);
+        let (c2, v2) = run_html(11, &p);
         assert_eq!((c1, &v1), (c2, &v2));
         assert!(v1.is_empty(), "{v1:#?}");
-        let (c3, v3) = run_html(11, &p);
-        let (c4, v4) = run_html(11, &p);
-        assert_eq!((c3, &v3), (c4, &v4));
-        assert!(v3.is_empty(), "{v3:#?}");
-    }
-
-    #[test]
-    fn hex_helpers_round_trip() {
-        assert_eq!(parse_hex("# c\n12ab\nCD"), vec![0x12, 0xAB, 0xCD]);
-        assert_eq!(hex_string(&[0x12, 0xAB, 0xCD]), "12abcd");
     }
 }

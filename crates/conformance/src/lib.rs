@@ -12,13 +12,11 @@
 //!   oracle feeds seeded random non-squatting domains through both and
 //!   rejects unjustifiable hits.
 //! * **Round-trip** — `punycode::encode`/`decode` (pinned to the RFC 3492
-//!   §7.1 sample strings plus seeded random Unicode), `idna::to_ascii`/
-//!   `to_unicode`, and `Message::encode`/`decode` over seeded random DNS
-//!   messages.
-//! * **Never-panic fuzzing** — `Message::decode` over seeded byte-level
-//!   mutations of valid packets and `html::parse`/`tokenize` over seeded
-//!   structure-aware mutations, each replaying a small on-disk corpus
-//!   first. Any panic (caught with `catch_unwind`) is a violation.
+//!   §7.1 sample strings plus seeded random Unicode) and `idna::to_ascii`/
+//!   `to_unicode`.
+//! * **Never-panic fuzzing** — `html::parse`/`tokenize` over seeded
+//!   structure-aware mutations, replaying a small on-disk corpus first.
+//!   Any panic (caught with `catch_unwind`) is a violation.
 //! * **Supervision** — seeded fault plans (injected analyzer panics,
 //!   poisoned HTML, truncated crawl records) through the full supervised
 //!   pipeline (`SquatPhi::try_run` on a micro config): no escaped panic,
@@ -114,8 +112,6 @@ impl Budget {
                 negatives: 800,
                 punycode_cases: 400,
                 idna_cases: 300,
-                dns_roundtrip_cases: 300,
-                dns_fuzz_cases: 700,
                 html_fuzz_cases: 300,
                 supervision_plans: 2,
                 durability_bodies: 2,
@@ -129,8 +125,6 @@ impl Budget {
                 negatives: 5000,
                 punycode_cases: 2000,
                 idna_cases: 1500,
-                dns_roundtrip_cases: 1500,
-                dns_fuzz_cases: 5000,
                 html_fuzz_cases: 1500,
                 supervision_plans: 3,
                 durability_bodies: 6,
@@ -156,10 +150,6 @@ pub(crate) struct Params {
     pub punycode_cases: usize,
     /// Random IDNA round-trip domains.
     pub idna_cases: usize,
-    /// Random DNS message round-trips.
-    pub dns_roundtrip_cases: usize,
-    /// Mutated DNS packets fed to the never-panic fuzzer.
-    pub dns_fuzz_cases: usize,
     /// Mutated HTML documents fed to the never-panic fuzzer.
     pub html_fuzz_cases: usize,
     /// Seeded fault plans driven through the supervised pipeline (each
@@ -212,12 +202,6 @@ pub fn run(config: &ConformanceConfig) -> ConformanceReport {
     report.push(timed("idna-roundtrip", || {
         roundtrip::run_idna(config.seed, &params)
     }));
-    report.push(timed("dnswire-roundtrip", || {
-        roundtrip::run_dnswire(config.seed, &params)
-    }));
-    report.push(timed("dnswire-fuzz", || {
-        fuzz::run_dnswire(config.seed, &params)
-    }));
     report.push(timed("html-fuzz", || fuzz::run_html(config.seed, &params)));
     report.push(timed("supervision", || {
         supervision::run_supervision(config.seed, &params)
@@ -263,6 +247,6 @@ mod tests {
         let full = Budget::Full.params();
         assert!(ci.registry_size.is_some() && full.registry_size.is_none());
         assert!(ci.gen.combo < full.gen.combo);
-        assert!(ci.dns_fuzz_cases < full.dns_fuzz_cases);
+        assert!(ci.html_fuzz_cases < full.html_fuzz_cases);
     }
 }

@@ -1,12 +1,10 @@
-//! Round-trip oracles: punycode, IDNA, and DNS wire encoding.
+//! Round-trip oracles: punycode and IDNA.
 
 use crate::report::Violation;
 use crate::shrink::minimize_str;
 use crate::Params;
 use rand::prelude::*;
-use squatphi_dnswire::{Message, RData, Rcode, RecordType, ResourceRecord};
 use squatphi_domain::{idna, punycode};
-use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// The RFC 3492 §7.1 sample strings, `(description, unicode, punycode)`.
 ///
@@ -252,138 +250,6 @@ pub(crate) fn run_idna(seed: u64, params: &Params) -> (u64, Vec<Violation>) {
     (cases, violations)
 }
 
-fn random_name(rng: &mut StdRng) -> String {
-    let labels = rng.gen_range(1..=3usize);
-    let mut parts: Vec<String> = (0..labels)
-        .map(|_| {
-            let len = rng.gen_range(1..=10usize);
-            (0..len)
-                .map(|_| {
-                    let c = rng.gen_range(0..36u8);
-                    if c < 26 {
-                        (b'a' + c) as char
-                    } else {
-                        (b'0' + c - 26) as char
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    parts.push(["com", "net", "org", "ua"][rng.gen_range(0..4usize)].to_string());
-    parts.join(".")
-}
-
-fn random_rdata(rng: &mut StdRng) -> RData {
-    match rng.gen_range(0..7u8) {
-        0 => RData::A(Ipv4Addr::from(rng.gen::<u32>())),
-        1 => RData::Aaaa(Ipv6Addr::from(
-            ((rng.gen::<u64>() as u128) << 64) | rng.gen::<u64>() as u128,
-        )),
-        2 => RData::Ns(random_name(rng)),
-        3 => RData::Cname(random_name(rng)),
-        4 => RData::Mx {
-            preference: rng.gen::<u16>(),
-            exchange: random_name(rng),
-        },
-        5 => {
-            let len = rng.gen_range(0..=40usize);
-            RData::Txt(
-                (0..len)
-                    .map(|_| (b' ' + rng.gen_range(0..95u8)) as char)
-                    .collect(),
-            )
-        }
-        _ => RData::Soa {
-            mname: random_name(rng),
-            rname: random_name(rng),
-            serial: rng.gen::<u32>(),
-        },
-    }
-}
-
-fn random_message(rng: &mut StdRng) -> Message {
-    let q = Message::query(rng.gen::<u16>(), &random_name(rng), RecordType::A);
-    if rng.gen_bool(0.3) {
-        return q;
-    }
-    let mut r = Message::response_to(&q, Rcode::NoError);
-    for _ in 0..rng.gen_range(0..=3usize) {
-        r.answers.push(ResourceRecord {
-            name: random_name(rng),
-            ttl: rng.gen::<u32>() & 0xFFFF,
-            rdata: random_rdata(rng),
-        });
-    }
-    if rng.gen_bool(0.4) {
-        r.authority.push(ResourceRecord {
-            name: random_name(rng),
-            ttl: 3600,
-            rdata: random_rdata(rng),
-        });
-    }
-    r
-}
-
-/// Seeded messages through `encode` → `decode`, compared structurally.
-/// Failing messages are shrunk by dropping records while the mismatch
-/// persists.
-pub(crate) fn run_dnswire(seed: u64, params: &Params) -> (u64, Vec<Violation>) {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x646e_7377_6972_6531); // "dnswire1"
-    let mut cases = 0u64;
-    let mut violations = Vec::new();
-
-    let fails = |m: &Message| match m.encode() {
-        Ok(wire) => Message::decode(&wire).map(|d| d != *m).unwrap_or(true),
-        Err(_) => false, // unencodable (name too long) is out of scope
-    };
-    for _ in 0..params.dns_roundtrip_cases {
-        let msg = random_message(&mut rng);
-        cases += 1;
-        if fails(&msg) {
-            // Structural shrink: drop one record at a time while the
-            // round trip keeps failing.
-            let mut small = msg.clone();
-            loop {
-                let mut reduced = false;
-                for i in 0..small.answers.len() {
-                    let mut cand = small.clone();
-                    cand.answers.remove(i);
-                    if fails(&cand) {
-                        small = cand;
-                        reduced = true;
-                        break;
-                    }
-                }
-                for i in 0..small.authority.len() {
-                    let mut cand = small.clone();
-                    cand.authority.remove(i);
-                    if fails(&cand) {
-                        small = cand;
-                        reduced = true;
-                        break;
-                    }
-                }
-                if !reduced {
-                    break;
-                }
-            }
-            let detail = match small.encode() {
-                Ok(wire) => match Message::decode(&wire) {
-                    Ok(back) => format!("decoded form differs: {back:?}"),
-                    Err(e) => format!("decode of own encoding failed: {e:?}"),
-                },
-                Err(e) => format!("encode failed after shrink: {e:?}"),
-            };
-            violations.push(Violation {
-                oracle: "dnswire-roundtrip",
-                input: format!("{small:?}"),
-                detail,
-            });
-        }
-    }
-    (cases, violations)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,26 +268,11 @@ mod tests {
         let mut p = Budget::Ci.params();
         p.punycode_cases = 150;
         p.idna_cases = 100;
-        p.dns_roundtrip_cases = 100;
         let (c1, v1) = run_punycode(3, &p);
         let (c2, v2) = run_punycode(3, &p);
         assert_eq!((c1, &v1), (c2, &v2));
         assert!(v1.is_empty(), "{v1:#?}");
         let (_, vi) = run_idna(3, &p);
         assert!(vi.is_empty(), "{vi:#?}");
-        let (_, vd) = run_dnswire(3, &p);
-        assert!(vd.is_empty(), "{vd:#?}");
-    }
-
-    #[test]
-    fn random_messages_have_varied_shapes() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut with_answers = 0;
-        for _ in 0..50 {
-            if !random_message(&mut rng).answers.is_empty() {
-                with_answers += 1;
-            }
-        }
-        assert!(with_answers > 5, "answer sections never populated");
     }
 }

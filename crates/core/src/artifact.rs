@@ -22,15 +22,14 @@
 //! summary, matching the `ScanMetrics` / `TransportMetrics` pattern.
 
 use crate::supervise::QuietGuard;
-use parking_lot::Mutex;
 use squatphi_html::{extract, js, parse, Document, JsIndicators};
 use squatphi_imghash::{perceptual_hash, ImageHash};
 use squatphi_nlp::{remove_stopwords, tokenize};
 use squatphi_ocr::{try_recognize, OcrConfig};
 use squatphi_render::{render_page, try_render_page, Bitmap, RenderOptions};
-use squatphi_telemetry::{Counter, Registry};
+use squatphi_telemetry::{lock_unpoisoned, Counter, Registry};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Default seed of the content-address hash. Seeding keys the hash per
@@ -140,7 +139,7 @@ impl AnalysisCache {
     }
 
     fn lookup(&self, key: u64, html: &str) -> Option<Arc<PageArtifact>> {
-        let shard = self.shard(key).lock();
+        let shard = lock_unpoisoned(self.shard(key));
         let entry = shard.get(&key)?.iter().find(|e| &*e.html == html)?;
         Some(entry.artifact.clone())
     }
@@ -149,7 +148,7 @@ impl AnalysisCache {
     /// *different* page (a content-key collision). A page another worker
     /// stored in the meantime is left as it is.
     fn insert(&self, key: u64, html: &str, artifact: Arc<PageArtifact>) -> bool {
-        let mut shard = self.shard(key).lock();
+        let mut shard = lock_unpoisoned(self.shard(key));
         let chain = shard.entry(key).or_insert_with(|| Vec::with_capacity(1));
         if chain.iter().any(|e| &*e.html == html) {
             return false;
@@ -165,7 +164,7 @@ impl AnalysisCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().values().map(Vec::len).sum::<usize>())
+            .map(|s| lock_unpoisoned(s).values().map(Vec::len).sum::<usize>())
             .sum()
     }
 

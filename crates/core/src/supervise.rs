@@ -31,15 +31,14 @@ use crate::artifact::PageArtifact;
 use crate::checkpoint::CheckpointError;
 use crate::fault::{FaultCounts, PageFault, PipelineFaultPlan};
 use crate::features::{FeatureExtractor, ANALYZE_GRAIN};
-use parking_lot::Mutex;
 use squatphi_durability::DiskFaultPlan;
 use squatphi_nlp::SparseVec;
-use squatphi_telemetry::par_map;
+use squatphi_telemetry::{lock_unpoisoned, par_map};
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The four pipeline stages, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -499,21 +498,21 @@ impl Supervisor {
     }
 
     pub(crate) fn note_resumed(&self, stage: PipelineStage) {
-        self.resumed.lock().push(stage.name());
+        lock_unpoisoned(&self.resumed).push(stage.name());
     }
 
     pub(crate) fn note_checkpointed(&self, stage: PipelineStage) {
-        self.checkpointed.lock().push(stage.name());
+        lock_unpoisoned(&self.checkpointed).push(stage.name());
     }
 
     pub(crate) fn note_invalidated(&self, stage: PipelineStage) {
-        self.invalidated.lock().push(stage.name());
+        lock_unpoisoned(&self.invalidated).push(stage.name());
     }
 
     /// Records a stage that resumed from an older checkpoint generation
     /// after the newest was damaged (`detail` is the classification).
     pub(crate) fn note_recovered_checkpoint(&self, stage: PipelineStage, detail: String) {
-        self.recovered_ckpts.lock().push((stage.name(), detail));
+        lock_unpoisoned(&self.recovered_ckpts).push((stage.name(), detail));
     }
 
     /// Records one crawl record truncated by the fault plan.
@@ -535,7 +534,7 @@ impl Supervisor {
     }
 
     fn quarantine_record(&self, entry: QuarantineEntry) {
-        let mut q = self.quarantine.lock();
+        let mut q = lock_unpoisoned(&self.quarantine);
         q.push(entry);
         if q.len() > self.quarantine_limit {
             self.overflowed.store(true, Ordering::SeqCst);
@@ -544,7 +543,7 @@ impl Supervisor {
     }
 
     fn record_failure(&self, key: &str, cause: &str) {
-        let mut f = self.first_failure.lock();
+        let mut f = lock_unpoisoned(&self.first_failure);
         if f.is_none() {
             *f = Some((key.to_string(), cause.to_string()));
         }
@@ -707,10 +706,10 @@ impl Supervisor {
         if self.overflowed.load(Ordering::SeqCst) {
             return Err(PipelineErrorKind::QuarantineOverflow {
                 limit: self.quarantine_limit,
-                quarantined: self.quarantine.lock().len(),
+                quarantined: lock_unpoisoned(&self.quarantine).len(),
             });
         }
-        if let Some((key, cause)) = self.first_failure.lock().clone() {
+        if let Some((key, cause)) = lock_unpoisoned(&self.first_failure).clone() {
             return Err(PipelineErrorKind::StagePanic { key, cause });
         }
         Ok(())
@@ -719,7 +718,7 @@ impl Supervisor {
     /// Finalizes the report. The quarantine list is sorted by
     /// (stage, key) so its order never leaks worker scheduling.
     pub(crate) fn report(&self) -> SupervisionReport {
-        let mut quarantined = self.quarantine.lock().clone();
+        let mut quarantined = lock_unpoisoned(&self.quarantine).clone();
         quarantined.sort_by(|a, b| a.stage.cmp(&b.stage).then_with(|| a.key.cmp(&b.key)));
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         SupervisionReport {
@@ -735,10 +734,10 @@ impl Supervisor {
             degraded_natural: load(&self.degraded_natural),
             truncated: load(&self.truncated),
             retries: load(&self.retries),
-            resumed_stages: self.resumed.lock().clone(),
-            checkpointed_stages: self.checkpointed.lock().clone(),
-            invalidated_checkpoints: self.invalidated.lock().clone(),
-            recovered_checkpoints: self.recovered_ckpts.lock().clone(),
+            resumed_stages: lock_unpoisoned(&self.resumed).clone(),
+            checkpointed_stages: lock_unpoisoned(&self.checkpointed).clone(),
+            invalidated_checkpoints: lock_unpoisoned(&self.invalidated).clone(),
+            recovered_checkpoints: lock_unpoisoned(&self.recovered_ckpts).clone(),
         }
     }
 }

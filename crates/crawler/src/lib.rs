@@ -13,9 +13,9 @@
 //!   deadlines on a [`clock::VirtualClock`], a per-host circuit breaker,
 //!   and seeded chaos fault injection ([`middleware::TransportStack`]
 //!   builds the canonical stack),
-//! * there is no socket transport: the `squatphi-http` crate serves and
-//!   fetches the same world over localhost TCP (see the `active_probe`
-//!   example) but is not wired in as a [`Transport`].
+//! * there is no socket transport: the in-process one is the only
+//!   transport, and nothing in the workspace opens a socket (DESIGN.md
+//!   §4).
 //!
 //! Fetches fail with a structured [`FetchError`] (timeout / refused /
 //! truncated / injected); [`TransportMetrics`] counts every attempt,

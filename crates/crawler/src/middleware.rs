@@ -45,9 +45,10 @@ use crate::clock::{Clock, VirtualClock};
 use crate::error::{FetchClass, FetchError};
 use crate::metrics::TransportMetrics;
 use crate::transport::Transport;
+use squatphi_telemetry::lock_unpoisoned;
 use squatphi_web::{Device, ServeResult};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Deterministic splitmix64-style mixer for jitter and fault sampling.
@@ -286,7 +287,7 @@ pub struct CircuitBreakerTransport<T> {
     policy: CircuitBreakerPolicy,
     clock: Arc<dyn Clock>,
     metrics: Arc<TransportMetrics>,
-    states: parking_lot::Mutex<HashMap<String, BreakerState>>,
+    states: Mutex<HashMap<String, BreakerState>>,
 }
 
 impl<T: Transport> CircuitBreakerTransport<T> {
@@ -302,15 +303,14 @@ impl<T: Transport> CircuitBreakerTransport<T> {
             policy,
             clock,
             metrics,
-            states: parking_lot::Mutex::new(HashMap::new()),
+            states: Mutex::new(HashMap::new()),
         }
     }
 
     /// Hosts whose circuit is currently open.
     pub fn open_hosts(&self) -> Vec<String> {
         let now = self.clock.now();
-        self.states
-            .lock()
+        lock_unpoisoned(&self.states)
             .iter()
             .filter(|(_, s)| matches!(s, BreakerState::Open { until } if now < *until))
             .map(|(h, _)| h.clone())
@@ -321,7 +321,7 @@ impl<T: Transport> CircuitBreakerTransport<T> {
 impl<T: Transport> Transport for CircuitBreakerTransport<T> {
     fn fetch(&self, host: &str, device: Device, snapshot: u8) -> Result<ServeResult, FetchError> {
         let probing = {
-            let mut states = self.states.lock();
+            let mut states = lock_unpoisoned(&self.states);
             match states.get(host).copied() {
                 Some(BreakerState::Open { until }) => {
                     if self.clock.now() < until {
@@ -345,7 +345,7 @@ impl<T: Transport> Transport for CircuitBreakerTransport<T> {
             }
         };
         let result = self.inner.fetch(host, device, snapshot);
-        let mut states = self.states.lock();
+        let mut states = lock_unpoisoned(&self.states);
         match &result {
             Ok(_) => {
                 states.insert(
@@ -478,7 +478,7 @@ pub struct ChaosTransport<T> {
     inner: T,
     plan: FaultPlan,
     metrics: Arc<TransportMetrics>,
-    attempts: parking_lot::Mutex<HashMap<String, u32>>,
+    attempts: Mutex<HashMap<String, u32>>,
 }
 
 impl<T: Transport> ChaosTransport<T> {
@@ -488,20 +488,23 @@ impl<T: Transport> ChaosTransport<T> {
             inner,
             plan,
             metrics,
-            attempts: parking_lot::Mutex::new(HashMap::new()),
+            attempts: Mutex::new(HashMap::new()),
         }
     }
 
     /// Total fetches that reached this layer (all hosts).
     pub fn total_attempts(&self) -> u64 {
-        self.attempts.lock().values().map(|&n| n as u64).sum()
+        lock_unpoisoned(&self.attempts)
+            .values()
+            .map(|&n| n as u64)
+            .sum()
     }
 }
 
 impl<T: Transport> Transport for ChaosTransport<T> {
     fn fetch(&self, host: &str, device: Device, snapshot: u8) -> Result<ServeResult, FetchError> {
         let n = {
-            let mut map = self.attempts.lock();
+            let mut map = lock_unpoisoned(&self.attempts);
             let e = map.entry(host.to_string()).or_insert(0);
             *e += 1;
             *e

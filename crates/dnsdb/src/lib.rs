@@ -12,9 +12,6 @@
 //!   and its parallel zone-text import,
 //! * [`mod@scan`] — multi-threaded scan engine running the
 //!   [`squatphi_squat::SquatDetector`] over every record (Figure 2),
-//! * [`probe`] — the active-probing path: an authoritative UDP server
-//!   thread serving the snapshot zone plus a bounded pool of probing threads,
-//!   mirroring how ActiveDNS actually produces its records,
 //! * [`events`] — the live-feed counterpart of [`synth`]: a seeded,
 //!   random-access stream of registration / churn / feed events on a
 //!   virtual timeline, consumed by the `squatphi watch` daemon.
@@ -23,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod events;
-pub mod probe;
 pub mod scan;
 pub mod store;
 pub mod synth;

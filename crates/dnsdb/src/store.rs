@@ -4,13 +4,11 @@
 //! snapshot in columns — every domain back to back in one name arena, an
 //! end offset per record, an address per record — so a record costs its
 //! name bytes plus 12 bytes and no allocation of its own, and the scan's
-//! linear pass reads memory in order. The probe server's point lookups get
-//! an optional hash index.
+//! linear pass reads memory in order.
 
 use squatphi_dnswire::zone::{self, ZoneError};
 use squatphi_dnswire::RData;
 use squatphi_telemetry::par_map;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Bytes of zone text one import task parses at least (~25k lines of
@@ -78,11 +76,6 @@ impl RecordStore {
     pub(crate) fn record(&self, i: usize) -> (&str, Ipv4Addr) {
         let start = if i == 0 { 0 } else { self.ends[i - 1] };
         (&self.names[start..self.ends[i]], self.ips[i])
-    }
-
-    /// Builds a point-lookup index (domain → IP) for the probe server.
-    pub fn index(&self) -> HashMap<String, Ipv4Addr> {
-        self.iter().map(|(d, ip)| (d.to_string(), ip)).collect()
     }
 
     /// Exports the snapshot as zone-file text (A records, fixed TTL) —
@@ -200,15 +193,6 @@ mod tests {
                 ("b.com", Ipv4Addr::new(5, 6, 7, 8))
             ]
         );
-    }
-
-    #[test]
-    fn index_maps_domains() {
-        let mut s = RecordStore::new();
-        s.push("x.org", Ipv4Addr::new(9, 9, 9, 9));
-        let idx = s.index();
-        assert_eq!(idx.get("x.org"), Some(&Ipv4Addr::new(9, 9, 9, 9)));
-        assert_eq!(idx.get("y.org"), None);
     }
 
     #[test]

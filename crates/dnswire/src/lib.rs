@@ -1,54 +1,15 @@
-//! DNS wire-format (RFC 1035) codec.
+//! Zone-file codec for the ActiveDNS-style snapshot.
 //!
-//! The paper's squatting search runs over the ActiveDNS project's records,
-//! which are produced by *active DNS probing*. Our reproduction rebuilds
-//! that probing path end-to-end: this crate supplies the message codec used
-//! by `squatphi-dnsdb`'s authoritative server and probing client.
-//!
-//! Scope: the record types that matter for the dataset (A, AAAA, NS, CNAME,
-//! MX, TXT, SOA), full name compression on encode and decode, and strict
-//! bounds checking — a malformed packet must never panic or loop.
+//! The paper's squatting search runs over the ActiveDNS project's records.
+//! The reproduction substitutes a synthetic snapshot (DESIGN.md §2) that
+//! `squatphi-dnsdb` exports and imports as RFC 1035 §5 master-file text;
+//! [`zone`] is that codec and [`RData`] / [`ResourceRecord`] are the
+//! records it reads and writes. There is no DNS wire format here: nothing
+//! in the workspace opens a socket (DESIGN.md §4).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod message;
-pub mod name;
-pub mod rdata;
 pub mod zone;
 
-pub use message::{Flags, Header, Message, Opcode, Question, Rcode, ResourceRecord};
-pub use name::{decode_name, encode_name, NameError};
-pub use rdata::{RData, RecordType};
-
-/// Errors produced while encoding or decoding DNS messages.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireError {
-    /// Ran past the end of the packet.
-    Truncated,
-    /// A domain name failed validation (length, pointer loop, bad bytes).
-    Name(NameError),
-    /// Unknown or unsupported record type on a path that requires decoding.
-    UnsupportedType(u16),
-    /// RDATA length did not match the record type's expectation.
-    BadRdata(&'static str),
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Truncated => write!(f, "truncated DNS message"),
-            WireError::Name(e) => write!(f, "bad name: {e}"),
-            WireError::UnsupportedType(t) => write!(f, "unsupported record type {t}"),
-            WireError::BadRdata(w) => write!(f, "bad rdata: {w}"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-impl From<NameError> for WireError {
-    fn from(e: NameError) -> Self {
-        WireError::Name(e)
-    }
-}
+pub use zone::{RData, ResourceRecord};

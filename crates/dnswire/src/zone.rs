@@ -10,10 +10,50 @@
 //! them, and `dnsdb`'s columnar import walks [`for_each_record`] without
 //! materialising a [`ResourceRecord`] at all.
 
-use crate::rdata::RData;
-use crate::ResourceRecord;
 use std::fmt::Write as _;
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, Ipv6Addr};
+
+/// One record's payload, as a zone line's `TYPE rdata` fields carry it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RData {
+    /// A record.
+    A(Ipv4Addr),
+    /// AAAA record.
+    Aaaa(Ipv6Addr),
+    /// NS record.
+    Ns(String),
+    /// CNAME record.
+    Cname(String),
+    /// MX record: preference + exchange host.
+    Mx {
+        /// Preference (lower wins).
+        preference: u16,
+        /// Exchange host name.
+        exchange: String,
+    },
+    /// TXT record (single character-string for simplicity).
+    Txt(String),
+    /// SOA record, trimmed to the fields the dataset uses.
+    Soa {
+        /// Primary name server.
+        mname: String,
+        /// Responsible mailbox.
+        rname: String,
+        /// Zone serial.
+        serial: u32,
+    },
+}
+
+/// One zone line: owner name, TTL and payload.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResourceRecord {
+    /// Owner name.
+    pub name: String,
+    /// Time to live.
+    pub ttl: u32,
+    /// Payload.
+    pub rdata: RData,
+}
 
 /// Errors produced by [`parse_zone`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,9 +81,8 @@ impl std::error::Error for ZoneError {}
 /// `.\t` + a ten-digit TTL + `\tIN\tA\t` + a 15-byte address + `\n`.
 pub const A_LINE_MAX_OVERHEAD: usize = 34;
 
-/// Serializes records to zone-file text. Comments and unsupported RDATA
-/// variants are skipped (SOA is emitted with its serial only — the fixed
-/// timers are implementation details).
+/// Serializes records to zone-file text (SOA is emitted with its serial
+/// only — the fixed timers are implementation details).
 pub fn format_zone(records: &[ResourceRecord]) -> String {
     // Exact for A records; longer RDATA grows the string.
     let capacity = records
@@ -58,8 +97,7 @@ pub fn format_zone(records: &[ResourceRecord]) -> String {
 }
 
 /// Appends one record to `out` as a zone line,
-/// `name.\tTTL\tIN\tTYPE\trdata\n`. Writes nothing for [`RData::Raw`],
-/// which the text format has no form for.
+/// `name.\tTTL\tIN\tTYPE\trdata\n`.
 pub fn write_record(out: &mut String, name: &str, ttl: u32, rdata: &RData) {
     // Writing to a `String` cannot fail.
     let _ = match rdata {
@@ -92,7 +130,6 @@ pub fn write_record(out: &mut String, name: &str, ttl: u32, rdata: &RData) {
             rname,
             serial,
         } => writeln!(out, "{name}.\t{ttl}\tIN\tSOA\t{mname}. {rname}. {serial}"),
-        RData::Raw(_) => Ok(()),
     };
 }
 
@@ -345,9 +382,6 @@ mod tests {
             assert_eq!(out, format!("x.example.\t{ttl}\tIN\tA\t{ip}\n"));
             assert!(out.len() <= "x.example".len() + A_LINE_MAX_OVERHEAD);
         }
-        out.clear();
-        write_record(&mut out, "x.example", 1, &RData::Raw(vec![1]));
-        assert!(out.is_empty());
         // Every other type, byte for byte as the pre-PR-25 `format!` wrote it.
         let mut records = sample();
         records.push(ResourceRecord {
@@ -381,7 +415,6 @@ mod tests {
                     serial,
                 } => format!("SOA\t{mname}. {rname}. {serial}"),
                 RData::Ns(n) => format!("NS\t{n}."),
-                RData::Raw(_) => unreachable!("not in the sample"),
             };
             out.clear();
             write_record(&mut out, &rr.name, rr.ttl, &rr.rdata);

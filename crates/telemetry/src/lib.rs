@@ -19,7 +19,9 @@
 //!   byte-identical and thread-count invariant.
 //! * [`par_map`] — the one ordered parallel map every fan-out outside
 //!   `dnsdb::scan` runs on (this is the only dependency-free crate the
-//!   fanning-out crates share).
+//!   fanning-out crates share), and [`lock_unpoisoned`], the one way the
+//!   workspace takes a `std::sync::Mutex` that a caught panic may have
+//!   poisoned.
 //!
 //! The legacy structs (`ClassifyStats`, `ScanMetrics`, `CrawlStats`,
 //! `TransportSnapshot`, `AnalysisSnapshot`, `SupervisionReport`,
@@ -35,6 +37,6 @@ mod snapshot;
 
 pub use invariant::{Invariant, InvariantSet, Term, Violation};
 pub use json::{escape, fmt_f64, Json};
-pub use par::par_map;
+pub use par::{lock_unpoisoned, par_map};
 pub use registry::{Counter, Histogram, Registry, Scope, Span};
 pub use snapshot::{is_timing_name, Snapshot, Value};

@@ -7,6 +7,18 @@
 //! nothing for a batch that cannot fill a second worker's first run.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, taking the guard even when a panicking thread poisoned
+/// it.
+///
+/// Supervised work runs under `catch_unwind` and carries on after an
+/// isolated panic, so a lock that the panicking worker held must not fail
+/// every later caller. Each of the workspace's locks guards a log, a
+/// cache or a per-host counter that every single update leaves whole.
+pub fn lock_unpoisoned<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Maps `f` over `0..len` on up to `threads` workers and returns the
 /// results in index order.

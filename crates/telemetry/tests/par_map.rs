@@ -1,10 +1,14 @@
 //! The contract of [`squatphi_telemetry::par_map`]: index order,
 //! exactly-once, no thread for a batch that cannot fill a second worker's
-//! run, and panics that reach the caller intact.
+//! run, and panics that reach the caller intact; and of
+//! [`squatphi_telemetry::lock_unpoisoned`]: a worker's panic does not
+//! lock later callers out.
 
 use proptest::prelude::*;
-use squatphi_telemetry::par_map;
+use squatphi_telemetry::{lock_unpoisoned, par_map};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::thread::{self, ThreadId};
 
 const GRAIN: usize = 8;
@@ -62,6 +66,27 @@ fn a_panic_in_f_reaches_the_caller_with_its_message() {
             .downcast_ref::<String>()
             .expect("a formatted panic carries a String payload");
         assert_eq!(message, "item 41 is poisoned", "threads {threads}");
+    }
+}
+
+#[test]
+fn a_lock_held_through_a_worker_panic_still_locks() {
+    let log = Mutex::new(Vec::new());
+    for threads in THREADS {
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            par_map(4 * GRAIN, threads, GRAIN, |i| {
+                let mut entries = lock_unpoisoned(&log);
+                entries.push(i);
+                if i == GRAIN + 1 {
+                    panic!("item {i} panics holding the lock");
+                }
+            })
+        }));
+        assert!(caught.is_err(), "threads {threads}: the panic must surface");
+        assert!(log.is_poisoned(), "threads {threads}");
+        let mut entries = lock_unpoisoned(&log);
+        assert!(entries.contains(&(GRAIN + 1)), "threads {threads}");
+        entries.clear();
     }
 }
 

@@ -45,6 +45,26 @@ fn gen_rejects_a_zero_limit() {
 }
 
 #[test]
+fn chaos_rejects_out_of_range_values() {
+    for (spec, message) in [("every-0", "K >= 1"), ("permille-5000", "P in 0..=1000")] {
+        let err = parse_args(&args(&format!("crawl zone.txt --chaos {spec}")))
+            .expect_err("an out-of-range plan is not clamped into range");
+        assert!(err.to_string().contains(message), "{spec}: {err}");
+    }
+    assert!(parse_args(&args("crawl zone.txt --chaos every-1")).is_ok());
+    assert!(parse_args(&args("crawl zone.txt --chaos permille-1000")).is_ok());
+}
+
+#[test]
+fn render_rejects_a_zero_width() {
+    let err = parse_args(&args("render page.html --width 0")).expect_err("zero columns");
+    assert!(
+        err.to_string().contains("--width needs a positive integer"),
+        "{err}"
+    );
+}
+
+#[test]
 fn scan_zone_fixture_end_to_end() {
     let dir = std::env::temp_dir().join("squatphi-cli-integration");
     std::fs::create_dir_all(&dir).expect("mkdir");

@@ -1,7 +1,6 @@
 //! Property-based tests over the core substrates.
 
 use proptest::prelude::*;
-use squatphi_dnswire::{Message, RData, Rcode, RecordType, ResourceRecord};
 use squatphi_domain::{distance, idna, punycode, DomainName};
 use squatphi_html::{parse, tokenize};
 use squatphi_imghash::{average_hash, difference_hash, perceptual_hash};
@@ -109,37 +108,6 @@ proptest! {
         }
     }
 
-    // ---- DNS wire ----------------------------------------------------------
-
-    #[test]
-    fn dns_query_round_trips(name in "[a-z]{1,12}(\\.[a-z]{1,12}){0,3}", id in any::<u16>()) {
-        let q = Message::query(id, &name, RecordType::A);
-        let decoded = Message::decode(&q.encode().expect("encode")).expect("decode");
-        prop_assert_eq!(decoded, q);
-    }
-
-    #[test]
-    fn dns_response_round_trips(
-        name in "[a-z]{1,12}\\.[a-z]{2,4}",
-        ip in any::<[u8; 4]>(),
-        ttl in 0u32..1_000_000,
-    ) {
-        let q = Message::query(1, &name, RecordType::A);
-        let mut r = Message::response_to(&q, Rcode::NoError);
-        r.answers.push(ResourceRecord {
-            name: name.clone(),
-            ttl,
-            rdata: RData::A(ip.into()),
-        });
-        let decoded = Message::decode(&r.encode().expect("encode")).expect("decode");
-        prop_assert_eq!(decoded, r);
-    }
-
-    #[test]
-    fn dns_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = Message::decode(&bytes);
-    }
-
     // ---- HTML ---------------------------------------------------------------
 
     #[test]
@@ -158,39 +126,6 @@ proptest! {
             round.subtree_text(squatphi_html::Document::ROOT),
             doc.subtree_text(squatphi_html::Document::ROOT)
         );
-    }
-
-    // ---- HTTP codec ------------------------------------------------------------
-
-    #[test]
-    fn http_request_round_trips(
-        host in "[a-z][a-z0-9-]{0,20}\\.(com|net|org|pw)",
-        path in "(/[a-z0-9]{0,6}){0,3}",
-    ) {
-        use squatphi_http::codec::{find_head_end, Request};
-        let req = Request::get(&host, if path.is_empty() { "/" } else { &path }, squatphi_http::ua::WEB);
-        let wire = req.encode();
-        let head_end = find_head_end(&wire).expect("request has a head");
-        let parsed = Request::parse(std::str::from_utf8(&wire[..head_end]).expect("ascii"))
-            .expect("parse own request");
-        prop_assert_eq!(parsed, req);
-    }
-
-    #[test]
-    fn http_response_round_trips(body in "\\PC{0,300}") {
-        use squatphi_http::codec::Response;
-        let resp = Response::ok(body);
-        let parsed = Response::parse(&resp.encode()).expect("parse own response");
-        prop_assert_eq!(parsed, resp);
-    }
-
-    #[test]
-    fn http_parsers_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
-        use squatphi_http::codec::{Request, Response};
-        let _ = Response::parse(&bytes);
-        if let Ok(s) = std::str::from_utf8(&bytes) {
-            let _ = Request::parse(s);
-        }
     }
 
     // ---- image hashing -------------------------------------------------------
