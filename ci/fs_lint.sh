@@ -15,7 +15,6 @@ cd "$(dirname "$0")/.."
 ALLOWED='
 crates/cli/src/commands.rs
 crates/experiments/src/main.rs
-crates/bench/src/bin/scan_baseline.rs
 '
 
 fail=0

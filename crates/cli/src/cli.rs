@@ -364,7 +364,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             }
             Ok(Command::Render {
                 path: path.ok_or_else(|| err("render needs an HTML file path"))?,
-                width: width.max(8),
+                width,
             })
         }
         "conformance" => {

@@ -4,10 +4,10 @@
 //! This is the exact pre-rebuild implementation: every probe builds (or
 //! borrows) a string and looks it up in a `HashMap<String, _>` — ~39
 //! SipHash string hashes per record, the cost the fingerprint index was
-//! built to remove. It is **not** used on any hot path; it exists so the
-//! `scan-diff` conformance oracle, the matcher proptests and the bench
-//! suite can pin the new matcher's answers (and its `probes` /
-//! `allocations_avoided` accounting) byte-identical to the old ones.
+//! built to remove. No production code uses it; it exists so the
+//! `scan-diff` oracle and the matcher proptests can pin the new matcher's
+//! answers (and its `probes` / `allocations_avoided` accounting)
+//! byte-identical to the old ones.
 //!
 //! Behavioral contract: for every parseable domain,
 //! `LegacyDetector::classify == SquatDetector::classify`, including the
@@ -16,11 +16,11 @@
 //! every legacy probe hits a real hash map, so here it always equals
 //! `probes`, while the fingerprint detector only counts probes that get
 //! past its bit filter.
+//!
+//! [`SquatDetector`]: squatphi_squat::SquatDetector
 
-use crate::brand::{BrandId, BrandRegistry};
-use crate::detect::{ClassifyStats, SquatMatch};
-use crate::SquatType;
 use squatphi_domain::{idna, ConfusableTable, DomainName};
+use squatphi_squat::{BrandId, BrandRegistry, ClassifyStats, SquatMatch, SquatType};
 use std::collections::HashMap;
 
 /// DNS labels are at most 63 octets ([`DomainName::parse`] rejects longer
@@ -88,13 +88,13 @@ impl LegacyDetector {
             min_len,
             max_len,
             confusables: ConfusableTable::new(),
-            combo_words: crate::words::COMBO_WORDS.iter().copied().collect(),
+            combo_words: squatphi_squat::words::COMBO_WORDS.iter().copied().collect(),
         }
     }
 
     /// Classifies a domain (see [`SquatDetector::classify`]).
     ///
-    /// [`SquatDetector::classify`]: crate::SquatDetector::classify
+    /// [`SquatDetector::classify`]: squatphi_squat::SquatDetector::classify
     pub fn classify(&self, domain: &DomainName) -> Option<SquatMatch> {
         let mut stats = ClassifyStats::default();
         self.classify_with_stats(domain, &mut stats)

@@ -56,6 +56,7 @@ mod differential;
 mod durability;
 mod fuzz;
 pub mod justify;
+pub mod legacy;
 mod phash_index;
 mod report;
 mod roundtrip;

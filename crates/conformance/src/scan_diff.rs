@@ -20,9 +20,10 @@
 //!    byte-identical, which additionally pins the scheduler's
 //!    first-record-wins merge order.
 //!
-//! [`LegacyDetector`]: squatphi_squat::legacy::LegacyDetector
+//! [`LegacyDetector`]: crate::legacy::LegacyDetector
 //! [`SquatDetector`]: squatphi_squat::SquatDetector
 
+use crate::legacy::LegacyDetector;
 use crate::report::Violation;
 use crate::shrink::minimize_str;
 use crate::Params;
@@ -30,7 +31,6 @@ use rand::prelude::*;
 use squatphi_dnsdb::{scan, synth, SnapshotConfig};
 use squatphi_domain::DomainName;
 use squatphi_squat::gen::generate_all;
-use squatphi_squat::legacy::LegacyDetector;
 use squatphi_squat::{BrandRegistry, ClassifyStats, SquatDetector};
 
 fn registry(params: &Params) -> BrandRegistry {

@@ -11,14 +11,14 @@
 //!   implementations maintain at the same counting sites.
 //!
 //! [`SquatDetector`]: squatphi_squat::SquatDetector
-//! [`LegacyDetector`]: squatphi_squat::legacy::LegacyDetector
+//! [`LegacyDetector`]: squatphi_conformance::legacy::LegacyDetector
 
 use proptest::prelude::*;
 use squatphi_conformance::justify::justified;
+use squatphi_conformance::legacy::LegacyDetector;
 use squatphi_domain::confusables::ConfusableTable;
 use squatphi_domain::DomainName;
 use squatphi_squat::gen::{generate_all, GenBudget};
-use squatphi_squat::legacy::LegacyDetector;
 use squatphi_squat::{BrandRegistry, ClassifyStats, SquatDetector};
 use std::sync::OnceLock;
 
@@ -97,6 +97,36 @@ fn every_generated_candidate_agrees_and_justifies() {
         cases > 3000,
         "generator produced too few candidates: {cases}"
     );
+}
+
+#[test]
+fn agrees_with_legacy_on_mixed_corpus() {
+    // Misses, the paper's examples of every type, and the brand itself.
+    let (_reg, new, old) = detectors();
+    for s in [
+        "winterpillow.net",
+        "example.com",
+        "random-hyphen-words.org",
+        "faceb00k.pw",
+        "goog1e.nl",
+        "facebnok.tk",
+        "facebok.tk",
+        "facebo0ok.com",
+        "fcaebook.org",
+        "facebook-story.de",
+        "facebook.audi",
+        "facebook.com",
+        "go-uberfreight.com",
+        "live-microsoftsupport.com",
+        "xn--fcebook-8va.com",
+        "mail.google-app.de",
+        "google.com.ua",
+        "fernrnart.com",
+        "a11iancebank.com",
+    ] {
+        let domain = DomainName::parse(s).unwrap();
+        agreement(new, old, &domain).unwrap_or_else(|e| panic!("{e}"));
+    }
 }
 
 proptest! {

@@ -16,7 +16,7 @@
 //! fronts the analyzer, so template-identical squat pages, the
 //! byte-identical web/mobile captures of uncloaked sites, and unchanged
 //! snapshot re-crawls all cost a single hash probe instead of a render +
-//! OCR pass. [`AnalysisMetrics`] counts pages, cache hits/misses and
+//! OCR pass. `AnalysisMetrics` counts pages, cache hits/misses and
 //! per-stage nanos; [`AnalysisSnapshot`] is the read side surfaced
 //! through `PipelineResult` into the `repro` report and `--json`
 //! summary, matching the `ScanMetrics` / `TransportMetrics` pattern.

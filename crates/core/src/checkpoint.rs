@@ -15,7 +15,7 @@
 //! changed config can never splice incompatible stage outputs together.
 //!
 //! Damage is classified, never papered over: a corrupt or torn newest
-//! generation falls back to the previous one ([`Loaded::Recovered`],
+//! generation falls back to the previous one (`Loaded::Recovered`,
 //! surfaced in the supervision report), and a store whose every
 //! generation is damaged is a structured
 //! [`CheckpointError::Unrecoverable`] — state that was durably written

@@ -1,11 +1,10 @@
 //! The end-to-end SquatPhi pipeline (paper §3-§6).
 //!
 //! [`SquatPhi::try_run`] is the supervised entry point: every stage runs
-//! under a [`Supervisor`] that isolates per-record analyzer panics,
+//! under a `Supervisor` that isolates per-record analyzer panics,
 //! degrades pages whose visual path fails, and (when a checkpoint
 //! directory is configured) persists completed stage outputs so an
-//! interrupted run resumes without recomputation. The panicking
-//! [`SquatPhi::run`] wrapper is deprecated in favor of `try_run`.
+//! interrupted run resumes without recomputation.
 
 use crate::artifact::{content_key, AnalysisSnapshot};
 use crate::checkpoint::{CheckpointStore, Loaded};

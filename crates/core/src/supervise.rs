@@ -7,7 +7,7 @@
 //! * **Error taxonomy** — [`PipelineError`] carries the failing
 //!   [`PipelineStage`], a structured [`PipelineErrorKind`] cause, and the
 //!   stages that completed before the failure (partial-progress context).
-//! * **Per-record isolation** — the [`Supervisor`]'s batch executor runs
+//! * **Per-record isolation** — the `Supervisor`'s batch executor runs
 //!   every page analysis under `catch_unwind` with a bounded retry
 //!   budget. A record that keeps panicking is **quarantined**: counted,
 //!   attributed (stage, key, cause, attempts), excluded from downstream

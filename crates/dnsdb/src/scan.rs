@@ -9,7 +9,7 @@
 //! of how matches cluster in the snapshot. The block size adapts to the input: at least four
 //! blocks per requested worker (so tiny stores still fan out — the old
 //! `div_ceil` chunking spawned 5 workers for 9 records × 8 threads),
-//! capped at [`MAX_BLOCK`] records so huge stores rebalance often.
+//! capped at `MAX_BLOCK` records so huge stores rebalance often.
 //!
 //! This is the one fan-out that does not run on
 //! [`squatphi_telemetry::par_map`]: its per-worker [`WorkerMetrics`] are

@@ -16,7 +16,7 @@
 //! a single flipped bit anywhere below the first newline is a checksum
 //! mismatch rather than a silently different config hash. Writes are
 //! tmp-file + fsync + rename + parent-dir fsync through the
-//! [`Vfs`](crate::vfs::Vfs) seam, then older generations are retired.
+//! [`Vfs`] seam, then older generations are retired.
 //!
 //! Reads walk generations newest-first, classifying each file
 //! ([`ReadClass`]) and falling back until a generation verifies and

@@ -1,7 +1,8 @@
-//! Accuracy ablations (DESIGN.md §6): what each design choice buys.
+//! Ablations (DESIGN.md §13): what each design choice buys, in accuracy
+//! and in cost.
 //!
 //! ```sh
-//! cargo run --release -p squatphi-bench --bin ablations
+//! cargo run --release -p squatphi-experiments --example ablations
 //! ```
 //!
 //! * **OCR features on/off** — the paper's key novelty. Without the OCR
@@ -9,15 +10,27 @@
 //!   twin or baked into a logo image) loses its brand evidence entirely;
 //!   we report both the brand-keyword recovery rate and the classifier's
 //!   recall on the string-obfuscated subset,
-//! * **random-forest size** — AUC/accuracy as a function of tree count.
+//! * **random-forest size** — AUC/accuracy as a function of tree count,
+//! * **squat strategy** — pre-generating every candidate per brand (the
+//!   DNSTwist approach) vs the per-record probing detector: build time
+//!   over 50 brands and the cost of one classify,
+//! * **crawl workers** — `crawl_all` wall time at 1, 4 and 16 workers.
 
 use squatphi::train::forest_config;
 use squatphi::FeatureExtractor;
+use squatphi_crawler::{crawl_all, CrawlConfig, InProcessTransport};
+use squatphi_domain::DomainName;
 use squatphi_ml::{Classifier, Dataset, Metrics, RandomForest, RocCurve};
 use squatphi_nlp::{remove_stopwords, tokenize, SparseVec};
-use squatphi_squat::{Brand, BrandRegistry};
+use squatphi_squat::gen::GenBudget;
+use squatphi_squat::pregen::PregeneratedDetector;
+use squatphi_squat::{Brand, BrandRegistry, SquatDetector, SquatType};
 use squatphi_web::behavior::{Cloaking, LifetimePattern, PhishingProfile, ScamKind};
-use squatphi_web::pages;
+use squatphi_web::{pages, WebWorld, WorldConfig};
+use std::hint::black_box;
+use std::net::Ipv4Addr;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn main() {
     let registry = BrandRegistry::with_size(120);
@@ -235,6 +248,104 @@ fn main() {
         println!(
             "  {trees:>4} trees  AUC {:.3}  ACC {:.3}",
             m.auc, m.accuracy
+        );
+    }
+
+    strategy_cost();
+    crawl_workers_cost();
+}
+
+/// Mean wall time of one call of `f` over `rounds` calls: the costs
+/// below are well under a millisecond, too short to time once.
+fn per_call<T>(rounds: u32, mut f: impl FnMut() -> T) -> Duration {
+    let t = Instant::now();
+    for _ in 0..rounds {
+        black_box(f());
+    }
+    t.elapsed() / rounds
+}
+
+/// Pre-generating every candidate (DNSTwist's strategy) against the
+/// probing detector: the build dominates; a classify is one hash lookup
+/// for the first and ~O(len) fingerprint probes for the second.
+fn strategy_cost() {
+    println!("\nsquat strategy over 50 brands (build, then classify one hit + one miss):");
+    let registry = BrandRegistry::with_size(50);
+    let hit = DomainName::parse("facebook-account.com").expect("valid");
+    let miss = DomainName::parse("winterpillow.net").expect("valid");
+
+    let pregen = PregeneratedDetector::build(&registry, GenBudget::default());
+    let pregen_build = per_call(5, || {
+        PregeneratedDetector::build(&registry, GenBudget::default())
+    });
+    let pregen_pair = per_call(100_000, || {
+        (
+            pregen.classify(black_box(&hit)),
+            pregen.classify(black_box(&miss)),
+        )
+    });
+    let probing = SquatDetector::new(&registry);
+    let probing_build = per_call(100, || SquatDetector::new(&registry));
+    let probing_pair = per_call(100_000, || {
+        (
+            probing.classify(black_box(&hit)),
+            probing.classify(black_box(&miss)),
+        )
+    });
+
+    println!(
+        "  pre-generated  build {:>7.2} ms ({} candidates)  classify {:>4} ns",
+        pregen_build.as_secs_f64() * 1e3,
+        pregen.candidate_count(),
+        pregen_pair.as_nanos()
+    );
+    println!(
+        "  probing        build {:>7.2} ms  classify {:>4} ns",
+        probing_build.as_secs_f64() * 1e3,
+        probing_pair.as_nanos()
+    );
+}
+
+/// `crawl_all` over 600 combo squats of 20 brands on the in-process
+/// transport at three pool widths.
+fn crawl_workers_cost() {
+    println!("\ncrawl workers (in-process transport):");
+    let registry = BrandRegistry::with_size(20);
+    let mut squats = Vec::new();
+    for (i, brand) in registry.brands().iter().enumerate() {
+        for j in 0..30 {
+            squats.push((
+                format!("{}-w{j}.com", brand.label),
+                i,
+                SquatType::Combo,
+                Ipv4Addr::new(198, 51, i as u8, j as u8),
+            ));
+        }
+    }
+    let world = Arc::new(WebWorld::build(
+        &squats,
+        &registry,
+        &WorldConfig {
+            phishing_domains: 60,
+            seed: 5,
+            ..WorldConfig::default()
+        },
+    ));
+    let transport = InProcessTransport::new(world);
+    let jobs: Vec<_> = squats
+        .iter()
+        .map(|(d, b, t, _)| (d.clone(), *b, *t))
+        .collect();
+    for workers in [1usize, 4, 16] {
+        let cfg = CrawlConfig::builder()
+            .workers(workers)
+            .build()
+            .expect("worker counts are nonzero");
+        let crawl = per_call(20, || crawl_all(&jobs, &registry, &transport, &cfg).0.len());
+        println!(
+            "  {workers:>3} workers  {:>6.2} ms per crawl of {} domains",
+            crawl.as_secs_f64() * 1e3,
+            jobs.len()
         );
     }
 }

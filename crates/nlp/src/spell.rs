@@ -78,7 +78,7 @@ pub const BASE_DICTIONARY: &[&str] = &[
 /// most `d` bytes, so the dictionary words that can be within a token's
 /// budget are exactly those sharing a fingerprint with one of the token's
 /// own deletion variants. Fingerprints may collide — every candidate is
-/// verified by [`bounded_levenshtein`] — so the answer is the one a scan
+/// verified by `bounded_levenshtein` — so the answer is the one a scan
 /// of the whole dictionary gives.
 #[derive(Debug, Clone)]
 pub struct SpellChecker {

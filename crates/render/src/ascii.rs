@@ -11,7 +11,7 @@ pub fn to_ascii(bmp: &Bitmap, cols: usize) -> String {
     if bmp.width() == 0 || bmp.height() == 0 {
         return String::new();
     }
-    let cols = cols.max(8).min(bmp.width());
+    let cols = cols.clamp(1, bmp.width());
     // Terminal cells are ~2x taller than wide; halve the row count.
     let rows = ((bmp.height() * cols) / bmp.width() / 2).max(1);
     let ramp = [b' ', b'.', b':', b'*', b'#'];
@@ -64,6 +64,14 @@ mod tests {
         for line in art.lines() {
             assert!(line.chars().count() <= 80);
         }
+    }
+
+    #[test]
+    fn narrow_widths_are_honoured() {
+        let b = Bitmap::new(64, 32);
+        let art = to_ascii(&b, 3);
+        assert!(!art.is_empty());
+        assert!(art.lines().all(|line| line.chars().count() == 3));
     }
 
     #[test]

@@ -21,14 +21,12 @@ pub mod brand;
 pub mod detect;
 pub mod gen;
 mod index;
-pub mod legacy;
 pub mod pregen;
 pub mod words;
 
 pub use brand::{Brand, BrandId, BrandRegistry, Category};
 pub use detect::{ClassifyStats, SquatDetector, SquatMatch};
 pub use gen::{generate_all, GenBudget};
-pub use legacy::LegacyDetector;
 
 /// The five orthogonal squatting techniques from §3.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -114,6 +114,20 @@ fn render_page_fixture() {
 }
 
 #[test]
+fn render_honours_a_narrow_width() {
+    let dir = std::env::temp_dir().join("squatphi-cli-integration");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let page = dir.join("narrow.html");
+    std::fs::write(&page, "<html><body><h1>citi</h1></body></html>").expect("write page");
+    let out = run_line(&format!("render {} --width 3", page.display())).expect("runs");
+    assert!(out.lines().count() > 0);
+    assert!(
+        out.lines().all(|line| line.chars().count() == 3),
+        "render --width 3 printed other widths:\n{out}"
+    );
+}
+
+#[test]
 fn errors_are_reported_not_panicked() {
     assert!(run_line("scan /definitely/not/here.zone").is_err());
     assert!(run_line("gen notabrandatall").is_err());
