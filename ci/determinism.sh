@@ -14,7 +14,8 @@
 # proves the output does not depend on the thread count. `watch` does so
 # on the seed-2020 stream whose fingerprint once did, then on the
 # interrupted run (--stop-after) as a second pair (watch-stop-{a,b}.json);
-# `repro` on Table 7 (the cross-validation fan-out), then on the stdout
+# `repro` on Table 7 (the cross-validation fan-out, and the page-analysis
+# fan-out behind the JSON's cache hit/miss split), then on the stdout
 # of every experiment (`repro all`) as a second pair (repro-all-{a,b}.txt)
 # at --scale 400: the smallest run (divisors tried in steps of 50) in
 # which Tables 3 and 4 both have tied rows, so their tie-break is checked

@@ -521,7 +521,8 @@ fn page(path: &str, brand_label: Option<&str>) -> Result<String, String> {
         .iter()
         .map(|e| (e.html.as_str(), e.still_phishing))
         .collect();
-    let data = extractor.build_dataset(&pages, 8);
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let data = extractor.build_dataset(&pages, threads);
     let model = squatphi::train::fit_final_model(&data, 7);
     let score = model.score(&extractor.extract_from_artifact(&artifact));
     let _ = writeln!(

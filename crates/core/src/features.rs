@@ -32,7 +32,42 @@ use std::time::Instant;
 /// spawn and join a thread, so one page still pays for a worker. A new
 /// worker's cold start only breaks even from ~16 pages up, but every
 /// caller hands over hundreds (measurements in DESIGN.md §5).
-pub(crate) const ANALYZE_GRAIN: usize = 1;
+const ANALYZE_GRAIN: usize = 1;
+
+/// Runs `analyze(i)` for every page, in input order. Only the first copy
+/// of each distinct HTML string fans out; its repeats then run on the
+/// caller in index order, where the cache serves them, so no two copies
+/// race to a miss and the hit/miss split does not depend on the schedule.
+pub(crate) fn analyze_first_copies<T: Send>(
+    htmls: &[&str],
+    threads: usize,
+    analyze: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    // `first[i]`: the lowest index holding the same string as `i`.
+    // Sorting by length first settles most comparisons on one integer.
+    let mut order: Vec<usize> = (0..htmls.len()).collect();
+    order.sort_unstable_by_key(|&i| (htmls[i].len(), htmls[i], i));
+    let mut first = vec![0; htmls.len()];
+    for copies in order.chunk_by(|&a, &b| htmls[a] == htmls[b]) {
+        for &i in copies {
+            first[i] = copies[0];
+        }
+    }
+    let distinct: Vec<usize> = (0..htmls.len()).filter(|&i| first[i] == i).collect();
+    let mut fresh = par_map(distinct.len(), threads, ANALYZE_GRAIN, |j| {
+        analyze(distinct[j])
+    })
+    .into_iter();
+    (0..htmls.len())
+        .map(|i| {
+            if first[i] == i {
+                fresh.next().expect("one result per distinct page")
+            } else {
+                analyze(i)
+            }
+        })
+        .collect()
+}
 
 /// Keywords beyond the spell-check dictionary that frequently appear in
 /// ground-truth phishing pages (§5.2 builds this list from the training
@@ -200,36 +235,9 @@ impl FeatureExtractor {
     }
 
     /// Analyzes many pages in parallel (stage 1 of the batch executor),
-    /// in input order. Only the first occurrence of each distinct HTML
-    /// string fans out; its repeats then run on the caller in index order,
-    /// where the cache serves them. Two copies of a page never race to a
-    /// miss on two workers, so the hit/miss split does not depend on the
-    /// thread count or the schedule.
+    /// in input order; repeats of a page are cache hits on the caller.
     pub fn analyze_batch(&self, htmls: &[&str], threads: usize) -> Vec<Arc<PageArtifact>> {
-        // `first[i]`: the lowest index holding the same string as `i`.
-        // Sorting by length first settles most comparisons on one integer.
-        let mut order: Vec<usize> = (0..htmls.len()).collect();
-        order.sort_unstable_by_key(|&i| (htmls[i].len(), htmls[i], i));
-        let mut first = vec![0; htmls.len()];
-        for copies in order.chunk_by(|&a, &b| htmls[a] == htmls[b]) {
-            for &i in copies {
-                first[i] = copies[0];
-            }
-        }
-        let distinct: Vec<usize> = (0..htmls.len()).filter(|&i| first[i] == i).collect();
-        let mut fresh = par_map(distinct.len(), threads, ANALYZE_GRAIN, |j| {
-            self.analyzer.analyze(htmls[distinct[j]])
-        })
-        .into_iter();
-        (0..htmls.len())
-            .map(|i| {
-                if first[i] == i {
-                    fresh.next().expect("one artifact per distinct page")
-                } else {
-                    self.analyzer.analyze(htmls[i])
-                }
-            })
-            .collect()
+        analyze_first_copies(htmls, threads, |i| self.analyzer.analyze(htmls[i]))
     }
 
     /// Extracts features for many pages: parallel analysis (stage 1),

@@ -30,10 +30,10 @@
 use crate::artifact::PageArtifact;
 use crate::checkpoint::CheckpointError;
 use crate::fault::{FaultCounts, PageFault, PipelineFaultPlan};
-use crate::features::{FeatureExtractor, ANALYZE_GRAIN};
+use crate::features::{analyze_first_copies, FeatureExtractor};
 use squatphi_durability::DiskFaultPlan;
 use squatphi_nlp::SparseVec;
-use squatphi_telemetry::{lock_unpoisoned, par_map};
+use squatphi_telemetry::lock_unpoisoned;
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -659,8 +659,10 @@ impl Supervisor {
         threads: usize,
     ) -> Result<Vec<Option<SparseVec>>, PipelineErrorKind> {
         // Nothing unwinds out of the closure: every panic surface is
-        // behind guarded_analyze's catch_unwind.
-        let artifacts = par_map(jobs.len(), threads, ANALYZE_GRAIN, |i| {
+        // behind guarded_analyze's catch_unwind. Faults are drawn per job
+        // key, so a repeat of a page still draws its own.
+        let htmls: Vec<&str> = jobs.iter().map(|j| j.html).collect();
+        let artifacts = analyze_first_copies(&htmls, threads, |i| {
             if self.stop.load(Ordering::SeqCst) {
                 return None;
             }
@@ -880,6 +882,98 @@ mod tests {
                 Some((q, s)) => {
                     assert_eq!(&report.quarantined, q, "threads={threads}");
                     assert_eq!(&shape, s, "threads={threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hit_miss_split_is_the_same_at_every_thread_count() {
+        use squatphi_web::pages;
+        let plan = PipelineFaultPlan::none()
+            .analyzer_panics(100)
+            .flaky_panics(250)
+            .poisons(200)
+            .with_seed(11);
+        // The first of `prefix:0`, `prefix:1`, … that draws `fault`.
+        let key_drawing = |prefix: &str, fault: Option<PageFault>| {
+            (0..)
+                .map(|n| format!("{prefix}:{n}"))
+                .find(|k| plan.decide_page(k) == fault)
+                .expect("some key draws every fault class")
+        };
+        let poisoned = pages::confusing_benign_page("p.com", Some("paypal"), 1);
+        let quarantined = pages::benign_page("q.com", 3);
+        // Eight copies of one page up front, where eight workers would
+        // each claim one at once, then repeats among fresh pages. The
+        // first copy of `poisoned` bypasses the cache and the first copy
+        // of `quarantined` never reaches it, so their clean later copies
+        // are the misses.
+        let mut corpus: Vec<(String, String)> = (0..8)
+            .map(|i| (format!("k:{i}"), pages::parked_page("b.com")))
+            .collect();
+        corpus.push((
+            key_drawing("poison", Some(PageFault::Poison)),
+            poisoned.clone(),
+        ));
+        let persistent = Some(PageFault::Panic {
+            failing_attempts: u32::MAX,
+        });
+        corpus.push((key_drawing("panic", persistent), quarantined.clone()));
+        corpus.extend((8..24).map(|i| (format!("k:{i}"), pages::benign_page("a.com", i % 5))));
+        corpus.push((key_drawing("clean-p", None), poisoned));
+        corpus.push((key_drawing("clean-q", None), quarantined));
+        corpus.extend((24..30).map(|i| {
+            let html = pages::confusing_benign_page("c.com", Some("paypal"), i);
+            (format!("k:{i}"), html)
+        }));
+        let jobs: Vec<PageJob<'_>> = corpus
+            .iter()
+            .map(|(key, html)| PageJob {
+                key: key.clone(),
+                html,
+            })
+            .collect();
+
+        // The split a one-at-a-time run in input order gives.
+        let mut cached = std::collections::HashSet::new();
+        let (mut pages, mut misses) = (0u64, 0u64);
+        for job in &jobs {
+            // A persistent panic never reaches the analyzer; a poisoned
+            // page bypasses the cache.
+            let miss = match plan.decide_page(&job.key) {
+                Some(PageFault::Panic {
+                    failing_attempts: u32::MAX,
+                }) => continue,
+                Some(PageFault::Poison) => true,
+                _ => cached.insert(job.html),
+            };
+            pages += 1;
+            misses += u64::from(miss);
+        }
+        assert!(pages - misses >= 12, "the corpus repeats pages");
+
+        let mut baseline = None;
+        for threads in [1, 2, 8] {
+            let fx = extractor();
+            let sup = Supervisor::new(&opts_with(plan));
+            let vectors = sup
+                .extract_vectors(PipelineStage::Train, &fx, &jobs, threads)
+                .unwrap();
+            let report = sup.report();
+            assert!(report.reconciles(), "threads={threads}: {report:?}");
+            assert!(report.injected.analyzer_panics > 1 && report.injected.poisoned_pages > 0);
+            let m = fx.analyzer().metrics();
+            assert_eq!(
+                (m.pages, m.cache_misses, m.cache_hits),
+                (pages, misses, pages - misses),
+                "threads={threads}"
+            );
+            match &baseline {
+                None => baseline = Some((vectors, report.quarantined)),
+                Some((v, q)) => {
+                    assert_eq!(&vectors, v, "threads={threads}");
+                    assert_eq!(&report.quarantined, q, "threads={threads}");
                 }
             }
         }

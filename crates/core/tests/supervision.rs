@@ -93,6 +93,15 @@ fn quarantine_is_deterministic_across_thread_counts() {
             other.fingerprint(),
             "pipeline output diverged between 1 and {threads} threads"
         );
+        let counters = |r: &PipelineResult| {
+            let a = &r.analysis;
+            (a.pages, a.cache_hits, a.cache_misses, a.key_collisions)
+        };
+        assert_eq!(
+            counters(&base),
+            counters(&other),
+            "analysis counters diverged between 1 and {threads} threads"
+        );
     }
 }
 
