@@ -10,7 +10,8 @@
 # --json summary is byte-identical to an uninterrupted run's. Both
 # durable-state consumers are swept: `squatphi watch` (watermark
 # checkpoints: a base snapshot plus a journal of appended deltas) and
-# `repro` (write-once stage checkpoints).
+# `repro` (write-once stage checkpoints), which is also stopped after its
+# scan stage at --threads 1 and resumed at --threads 4.
 #
 # The in-process half of the matrix (panicking crash hook, every K and
 # every kind of operation, 1/4/8 threads) lives in
@@ -95,5 +96,19 @@ for k in 1 2 3; do
     fi
     echo "crash_matrix: repro K=$k crashed and recovered byte-identically"
 done
+
+# A scan checkpoint written at one thread count resumes at another: stop
+# after the scan stage at --threads 1, finish at --threads 4.
+dir="$WORK/repro-ckpt-scan"
+"$REPRO" --scale 2000 --threads 1 --checkpoint-dir "$dir" --stop-after scan \
+    > /dev/null 2> "$WORK/repro-stop-scan.log"
+"$REPRO" --scale 2000 --threads 4 --checkpoint-dir "$dir" --resume \
+    --json "$WORK/repro-resumed-scan.json" table7 \
+    > /dev/null 2> "$WORK/repro-resume-scan.log"
+if ! cmp "$WORK/repro-baseline.json" "$WORK/repro-resumed-scan.json"; then
+    echo "crash_matrix: repro resumed from the scan stage at --threads 4 diverged" >&2
+    exit 1
+fi
+echo "crash_matrix: repro resumed from the scan stage byte-identically (--threads 1 -> 4)"
 
 echo "crash_matrix: OK (all crash points recovered byte-identically)"

@@ -11,7 +11,6 @@ cd "$(dirname "$0")/.."
 ALLOWED='
 crates/crawler/src/metrics.rs:TransportMetrics
 crates/ml/src/metrics.rs:Metrics
-crates/dnsdb/src/scan.rs:WorkerMetrics
 crates/dnsdb/src/scan.rs:ScanMetrics
 crates/core/src/artifact.rs:AnalysisMetrics
 crates/core/src/stream/counters.rs:WatchMetrics

@@ -314,9 +314,9 @@ fn scan_zone(
     );
     let _ = writeln!(
         out,
-        "  {:.0} records/s over {}/{} workers ({} probes, {} past filter, {} allocations avoided, {} dedupe collisions)",
+        "  {:.0} records/s over {} blocks on {} workers ({} probes, {} past filter, {} allocations avoided, {} dedupe collisions)",
         metrics.records_per_sec(),
-        metrics.actual_workers(),
+        metrics.blocks,
         metrics.requested_workers,
         metrics.probes(),
         metrics.deep_probes(),

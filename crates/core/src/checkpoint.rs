@@ -34,14 +34,14 @@ use crate::fault::PipelineFaultPlan;
 use crate::supervise::PipelineStage;
 use crate::train::{EvalReport, ModelEval};
 use squatphi_crawler::{CrawlRecord, CrawlStats, PageCapture, RedirectClass, TransportSnapshot};
-use squatphi_dnsdb::{ScanMetrics, ScanOutcome, SquatRecord, WorkerMetrics};
+use squatphi_dnsdb::{ScanMetrics, ScanOutcome, SquatRecord};
 use squatphi_domain::DomainName;
 use squatphi_durability::{
     render_classes, DiskFaultPlan, DurabilityStats, DurableStore, FaultVfs, LoadOutcome, RealVfs,
     StoreError, Vfs,
 };
 use squatphi_ml::{Metrics, RandomForest, RocCurve};
-use squatphi_squat::SquatType;
+use squatphi_squat::{ClassifyStats, SquatType};
 use squatphi_telemetry::escape;
 use std::path::Path;
 use std::sync::Arc;
@@ -49,7 +49,7 @@ use std::time::Duration;
 
 /// Checkpoint format version; bumped on any codec change so old files
 /// invalidate instead of mis-decoding.
-const VERSION: u64 = 2;
+const VERSION: u64 = 3;
 
 /// Seed of the config-hash content key.
 const HASH_SEED: u64 = 0xc4ec_4b01;
@@ -256,25 +256,8 @@ impl CheckpointStore {
             })
             .collect::<Vec<_>>()
             .join(",\n");
-        let workers = metrics
-            .workers
-            .iter()
-            .map(|w| {
-                format!(
-                    "{{\"records\": {}, \"invalid\": {}, \"blocks\": {}, \"probes\": {}, \"deep_probes\": {}, \"allocations_avoided\": {}, \"elapsed_nanos\": {}}}",
-                    w.records,
-                    w.invalid,
-                    w.blocks,
-                    w.probes,
-                    w.deep_probes,
-                    w.allocations_avoided,
-                    w.elapsed.as_nanos() as u64
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
         let body = format!(
-            "{{\n{},\n\"scanned\": {},\n\"invalid\": {},\n\"by_type\": [{}],\n\"by_brand\": [{}],\n\"matches\": [\n{}\n],\n\"metrics\": {{\"requested_workers\": {}, \"dedupe_collisions\": {}, \"wall_nanos\": {}, \"workers\": [\n{}\n]}}\n}}\n",
+            "{{\n{},\n\"scanned\": {},\n\"invalid\": {},\n\"by_type\": [{}],\n\"by_brand\": [{}],\n\"matches\": [\n{}\n],\n\"metrics\": {{\"requested_workers\": {}, \"dedupe_collisions\": {}, \"wall_nanos\": {}, \"records\": {}, \"invalid\": {}, \"blocks\": {}, \"probes\": {}, \"deep_probes\": {}, \"allocations_avoided\": {}}}\n}}\n",
             self.header(PipelineStage::Scan),
             outcome.scanned,
             outcome.invalid,
@@ -284,7 +267,12 @@ impl CheckpointStore {
             metrics.requested_workers,
             metrics.dedupe_collisions,
             metrics.wall.as_nanos() as u64,
-            workers,
+            metrics.records,
+            metrics.invalid,
+            metrics.blocks,
+            metrics.classify.probes,
+            metrics.classify.deep_probes,
+            metrics.classify.allocations_avoided,
         );
         self.save(PipelineStage::Scan, &body)
     }
@@ -487,18 +475,6 @@ fn decode_scan(v: &json::Value) -> Option<(ScanOutcome, ScanMetrics)> {
         });
     }
     let met = v.get("metrics")?;
-    let mut workers = Vec::new();
-    for w in met.get("workers")?.as_arr()? {
-        workers.push(WorkerMetrics {
-            records: w.get("records")?.as_usize()?,
-            invalid: w.get("invalid")?.as_usize()?,
-            blocks: w.get("blocks")?.as_usize()?,
-            probes: w.get("probes")?.as_u64()?,
-            deep_probes: w.get("deep_probes")?.as_u64()?,
-            allocations_avoided: w.get("allocations_avoided")?.as_u64()?,
-            elapsed: Duration::from_nanos(w.get("elapsed_nanos")?.as_u64()?),
-        });
-    }
     Some((
         ScanOutcome {
             matches,
@@ -508,7 +484,14 @@ fn decode_scan(v: &json::Value) -> Option<(ScanOutcome, ScanMetrics)> {
             invalid,
         },
         ScanMetrics {
-            workers,
+            records: met.get("records")?.as_usize()?,
+            invalid: met.get("invalid")?.as_usize()?,
+            blocks: met.get("blocks")?.as_usize()?,
+            classify: ClassifyStats {
+                probes: met.get("probes")?.as_u64()?,
+                deep_probes: met.get("deep_probes")?.as_u64()?,
+                allocations_avoided: met.get("allocations_avoided")?.as_u64()?,
+            },
             requested_workers: met.get("requested_workers")?.as_usize()?,
             dedupe_collisions: met.get("dedupe_collisions")?.as_usize()?,
             wall: Duration::from_nanos(met.get("wall_nanos")?.as_u64()?),
@@ -983,6 +966,63 @@ mod tests {
             .file_name()
             .to_string_lossy()
             .ends_with(".tmp")));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn scan_checkpoint_round_trips() {
+        let (store, dir) = store("scan");
+        let outcome = ScanOutcome {
+            matches: vec![
+                SquatRecord {
+                    domain: DomainName::parse("faceb00k.pw").unwrap(),
+                    ip: std::net::Ipv4Addr::new(203, 0, 113, 1),
+                    brand: 2,
+                    squat_type: SquatType::Homograph,
+                },
+                SquatRecord {
+                    domain: DomainName::parse("paypal-cash.com").unwrap(),
+                    ip: std::net::Ipv4Addr::new(203, 0, 113, 3),
+                    brand: 0,
+                    squat_type: SquatType::Combo,
+                },
+            ],
+            by_type: [1, 0, 0, 1, 0],
+            by_brand: vec![1, 0, 1],
+            scanned: 40,
+            invalid: 3,
+        };
+        let metrics = ScanMetrics {
+            records: 40,
+            invalid: 3,
+            blocks: 10,
+            classify: ClassifyStats {
+                probes: 1234,
+                deep_probes: 56,
+                allocations_avoided: u64::MAX,
+            },
+            requested_workers: 3,
+            dedupe_collisions: 2,
+            wall: Duration::new(1, 234_567_891),
+        };
+        store.save_scan(&outcome, &metrics).unwrap();
+        let Loaded::Value((o2, m2)) = store.load_scan().unwrap() else {
+            panic!("scan checkpoint did not load");
+        };
+        assert_eq!(o2, outcome);
+        assert_eq!(m2, metrics);
+        // The decoded pair exports the same `scan.*` telemetry, wall-clock
+        // values included.
+        let snapshot = |o: &ScanOutcome, m: &ScanMetrics| {
+            let reg = squatphi_telemetry::Registry::new();
+            let scope = reg.scope("scan");
+            o.export(&scope);
+            m.export(&scope);
+            reg.snapshot()
+        };
+        let (before, after) = (snapshot(&outcome, &metrics), snapshot(&o2, &m2));
+        assert_eq!(after.get_u64("scan.wall_nanos"), Some(1_234_567_891));
+        assert_eq!(before.render(), after.render());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -27,7 +27,7 @@ pub mod synth;
 pub use events::{EventStream, EventStreamConfig, StreamEvent, TimedEvent};
 pub use scan::{
     scan, scan_with_metrics, try_scan_with_metrics, ScanError, ScanMetrics, ScanOutcome,
-    SquatRecord, WorkerMetrics,
+    SquatRecord,
 };
 pub use store::RecordStore;
 pub use synth::{SnapshotConfig, SnapshotStats};

@@ -2,48 +2,46 @@
 //!
 //! # Scheduling
 //!
-//! Workers do not own fixed contiguous chunks. The store is cut into
-//! small **blocks** and every worker pulls the next unclaimed block index
-//! from a shared atomic cursor, so a run of expensive records on one
-//! thread never stalls the others and the work stays balanced regardless
-//! of how matches cluster in the snapshot. The block size adapts to the input: at least four
-//! blocks per requested worker (so tiny stores still fan out — the old
-//! `div_ceil` chunking spawned 5 workers for 9 records × 8 threads),
-//! capped at `MAX_BLOCK` records so huge stores rebalance often.
-//!
-//! This is the one fan-out that does not run on
-//! [`squatphi_telemetry::par_map`]: its per-worker [`WorkerMetrics`] are
-//! part of the scan checkpoint format and `scan.exec.*`, and it stops
-//! claiming blocks once any shard has failed (see DESIGN.md, Parallelism).
+//! The store is cut into small **blocks** and fanned out over
+//! [`squatphi_telemetry::par_map`] one block at a time (grain 1), so a run
+//! of expensive records on one thread never stalls the others and the
+//! work stays balanced regardless of how matches cluster in the snapshot.
+//! The block size adapts to the input: at least four blocks per requested
+//! worker (so tiny stores still fan out — the old `div_ceil` chunking
+//! spawned 5 workers for 9 records × 8 threads), capped at `MAX_BLOCK`
+//! records so huge stores rebalance often.
 //!
 //! # Determinism
 //!
 //! Results are merged **in block order**, which is store order, so the
 //! first-record-wins dedupe produces byte-identical `matches`, `by_type`
 //! and `by_brand` for every thread count (see
-//! `scan_is_deterministic_across_thread_counts`).
+//! `scan_is_deterministic_across_thread_counts`). The counters in
+//! [`ScanMetrics`] are sums over blocks, so they are thread-count
+//! invariant too; only `requested_workers`, `blocks` and `wall` describe
+//! the run rather than the store.
 //!
 //! # Failure
 //!
-//! A panic inside a worker no longer takes the process down with a bare
-//! `join().expect(..)`: each block runs under `catch_unwind`, remaining
-//! workers drain, and [`try_scan_with_metrics`] returns a structured
-//! [`ScanError`] naming the failing shard so the supervision layer can
-//! surface it as a `StagePanic` and retry or checkpoint around it.
+//! Each block runs under `catch_unwind`. Once a block has failed, blocks
+//! after it return without classifying anything, and
+//! [`try_scan_with_metrics`] returns a structured [`ScanError`] naming the
+//! first failing block, so the supervision layer can surface it as a
+//! `StagePanic` and retry or checkpoint around it.
 
 use crate::store::RecordStore;
 use squatphi_domain::DomainName;
 use squatphi_squat::{BrandId, BrandRegistry, ClassifyStats, SquatDetector, SquatMatch, SquatType};
+use squatphi_telemetry::par_map;
 use std::net::Ipv4Addr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Upper bound on records per scheduler block. Small enough that even a
-/// snapshot-sized store produces hundreds of blocks for the cursor to
-/// balance, large enough that the per-block bookkeeping (one atomic
-/// fetch-add, one `Vec` push) is noise against classifying the records.
+/// snapshot-sized store produces hundreds of blocks to balance, large
+/// enough that the per-block bookkeeping (one cursor claim, one `Vec`
+/// push) is noise against classifying the records.
 const MAX_BLOCK: usize = 8192;
 
 /// One detected squatting record.
@@ -60,7 +58,7 @@ pub struct SquatRecord {
 }
 
 /// Aggregate result of a snapshot scan.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScanOutcome {
     /// Every unique registrable squatting domain found.
     pub matches: Vec<SquatRecord>,
@@ -107,13 +105,13 @@ impl ScanOutcome {
     }
 }
 
-/// A scan worker panicked. The scan is abandoned (remaining workers
-/// drain without starting new blocks) and no partial outcome is exposed.
+/// A scan block panicked. The scan is abandoned (blocks after the failing
+/// one are skipped) and no partial outcome is exposed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanError {
     /// Index of the scheduler block (shard) whose records were being
-    /// classified when the panic fired; the smallest failing index when
-    /// several workers trip concurrently.
+    /// classified when the panic fired; the first failing block in store
+    /// order when several fail, at every thread count.
     pub shard: usize,
     /// The panic payload, stringified.
     pub cause: String,
@@ -131,50 +129,20 @@ impl std::fmt::Display for ScanError {
 
 impl std::error::Error for ScanError {}
 
-/// Counters one scan worker reports for the blocks it claimed.
-#[derive(Debug, Clone, Default)]
-pub struct WorkerMetrics {
-    /// Records this worker classified (valid or not).
+/// Instrumentation for one [`scan`] call: the classify counters summed
+/// over every block, the merge-phase dedupe statistics and the end-to-end
+/// wall clock.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ScanMetrics {
+    /// Records classified (valid or not).
     pub records: usize,
     /// Records that failed domain validation.
     pub invalid: usize,
-    /// Scheduler blocks this worker claimed from the cursor.
+    /// Scheduler blocks the store was cut into.
     pub blocks: usize,
-    /// Detector probes performed across the claimed blocks (fingerprint
-    /// tests; each corresponds to one legacy hash probe).
-    pub probes: u64,
-    /// Probes that passed the fingerprint bit filter and consulted the
-    /// backing map (see `squatphi_squat::ClassifyStats::deep_probes`).
-    pub deep_probes: u64,
-    /// Heap allocations the detector's stack buffers avoided
-    /// (see `squatphi_squat::ClassifyStats`).
-    pub allocations_avoided: u64,
-    /// Wall-clock time the worker spent, spawn to drain.
-    pub elapsed: Duration,
-}
-
-impl WorkerMetrics {
-    /// Records classified per second by this worker.
-    pub fn records_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.records as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Instrumentation for one [`scan`] call: per-worker counters plus the
-/// merge-phase dedupe statistics and the end-to-end wall clock.
-#[derive(Debug, Clone, Default)]
-pub struct ScanMetrics {
-    /// One entry per spawned worker thread, in spawn order.
-    pub workers: Vec<WorkerMetrics>,
-    /// Worker threads the caller asked for. The scan spawns
-    /// `min(requested, blocks)` — fewer only when the store has fewer
-    /// records than requested workers — and reports both so silent
-    /// under-use of cores (the old `div_ceil` chunking bug) is visible.
+    /// Detector probe and allocation counters, summed over blocks.
+    pub classify: ClassifyStats,
+    /// Worker threads the caller asked for.
     pub requested_workers: usize,
     /// Matches dropped at merge because an earlier block already claimed
     /// the registrable domain (first-record-wins dedupe).
@@ -184,53 +152,49 @@ pub struct ScanMetrics {
 }
 
 impl ScanMetrics {
-    /// Worker threads actually spawned.
-    pub fn actual_workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Total records classified across all workers.
+    /// Total records classified.
     pub fn records(&self) -> usize {
-        self.workers.iter().map(|w| w.records).sum()
+        self.records
     }
 
-    /// Total invalid records across all workers.
+    /// Total invalid records.
     pub fn invalid(&self) -> usize {
-        self.workers.iter().map(|w| w.invalid).sum()
+        self.invalid
     }
 
-    /// Total detector probes across all workers.
+    /// Total detector probes (fingerprint tests; each corresponds to one
+    /// legacy hash probe).
     pub fn probes(&self) -> u64 {
-        self.workers.iter().map(|w| w.probes).sum()
+        self.classify.probes
     }
 
     /// Total probes that got past the fingerprint filter.
     pub fn deep_probes(&self) -> u64 {
-        self.workers.iter().map(|w| w.deep_probes).sum()
+        self.classify.deep_probes
     }
 
-    /// Total heap allocations avoided across all workers.
+    /// Total heap allocations the detector's stack buffers avoided.
     pub fn allocations_avoided(&self) -> u64 {
-        self.workers.iter().map(|w| w.allocations_avoided).sum()
+        self.classify.allocations_avoided
     }
 
     /// End-to-end throughput (records per wall-clock second, all workers).
     pub fn records_per_sec(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
         if secs > 0.0 {
-            self.records() as f64 / secs
+            self.records as f64 / secs
         } else {
             0.0
         }
     }
 
     /// Publishes the instrumentation into the same scope as
-    /// [`ScanOutcome::export`]. Aggregates that must reconcile with the
-    /// outcome (`exec.records`, `exec.invalid`) and merge statistics land
-    /// at the top level; per-run execution shape (worker counts, the
-    /// worker duration histogram) goes under `exec.` so invariance tests
-    /// can drop it, and wall-clock values use timing-rule names so default
-    /// output strips them.
+    /// [`ScanOutcome::export`]. Merge statistics land at the top level;
+    /// the block-summed counters and the run's shape (requested workers,
+    /// block count) go under `exec.` so invariance tests can drop them,
+    /// and wall-clock values use timing-rule names so default output
+    /// strips them. `exec.records` and `exec.invalid` must reconcile with
+    /// the outcome.
     pub fn export(&self, scope: &squatphi_telemetry::Scope) {
         scope.set_u64("dedupe_collisions", self.dedupe_collisions as u64);
         scope.set_u64(
@@ -240,17 +204,10 @@ impl ScanMetrics {
         scope.set_f64("records_per_sec", self.records_per_sec());
         let exec = scope.scope("exec");
         exec.set_u64("requested_workers", self.requested_workers as u64);
-        exec.set_u64("actual_workers", self.actual_workers() as u64);
-        exec.set_u64("records", self.records() as u64);
-        exec.set_u64("invalid", self.invalid() as u64);
-        exec.set_u64("blocks", self.workers.iter().map(|w| w.blocks as u64).sum());
-        exec.set_u64("probes", self.probes());
-        exec.set_u64("deep_probes", self.deep_probes());
-        exec.set_u64("allocations_avoided", self.allocations_avoided());
-        let durations = exec.histogram("worker_durations");
-        for w in &self.workers {
-            durations.record(w.elapsed);
-        }
+        exec.set_u64("records", self.records as u64);
+        exec.set_u64("invalid", self.invalid as u64);
+        exec.set_u64("blocks", self.blocks as u64);
+        self.classify.export(&exec);
     }
 
     /// Whether the scan's conservation identities hold for an exported
@@ -311,7 +268,8 @@ pub fn scan(
     scan_with_metrics(store, registry, detector, threads).0
 }
 
-/// [`scan`], additionally returning per-worker and merge instrumentation.
+/// [`scan`], additionally returning the block-summed and merge
+/// instrumentation.
 ///
 /// # Panics
 /// Re-raises a worker panic (with its shard attached); callers that must
@@ -328,9 +286,9 @@ pub fn scan_with_metrics(
     }
 }
 
-/// [`scan_with_metrics`] with structured worker-failure reporting: a
-/// panicking worker yields `Err(ScanError)` naming the failing shard
-/// instead of poisoning the whole process.
+/// [`scan_with_metrics`] with structured failure reporting: a panicking
+/// block yields `Err(ScanError)` naming the first failing shard instead of
+/// poisoning the whole process.
 pub fn try_scan_with_metrics(
     store: &RecordStore,
     registry: &BrandRegistry,
@@ -358,121 +316,50 @@ fn try_scan_impl<C: Classify>(
 ) -> Result<(ScanOutcome, ScanMetrics), ScanError> {
     let start = Instant::now();
     let requested = threads.max(1);
+    // ≥4 blocks per requested worker so the pool has slack to balance,
+    // capped so snapshot-sized stores rebalance often.
+    let block = store.len().div_ceil(requested * 4).clamp(1, MAX_BLOCK);
+    let blocks = store.len().div_ceil(block);
+
+    // Smallest block index seen to fail. Blocks after it are skipped;
+    // blocks before it still run, so the first failing block always runs
+    // and is the error at every thread count. Relaxed: it publishes no
+    // other data, and results reach the merge through `par_map`'s joins.
+    let first_failure = AtomicUsize::new(usize::MAX);
+    let results = par_map(blocks, requested, 1, |b| {
+        if b > first_failure.load(Ordering::Relaxed) {
+            return None;
+        }
+        let lo = b * block;
+        let hi = (lo + block).min(store.len());
+        let run = catch_unwind(AssertUnwindSafe(|| scan_block(store, lo..hi, classifier)));
+        if run.is_err() {
+            first_failure.fetch_min(b, Ordering::Relaxed);
+        }
+        Some(run.map_err(|payload| panic_message(payload.as_ref())))
+    });
+
     let mut out = ScanOutcome {
         by_brand: vec![0; brand_count],
         ..ScanOutcome::default()
     };
     let mut metrics = ScanMetrics {
+        blocks,
         requested_workers: requested,
         ..ScanMetrics::default()
     };
-    if store.is_empty() {
-        metrics.wall = start.elapsed();
-        return Ok((out, metrics));
-    }
-
-    // ≥4 blocks per requested worker so the cursor has slack to balance,
-    // capped so snapshot-sized stores rebalance often.
-    let block = store.len().div_ceil(requested * 4).clamp(1, MAX_BLOCK);
-    let blocks = store.len().div_ceil(block);
-    let workers = requested.min(blocks);
-
-    let cursor = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    // Smallest failing block and its panic payload (deterministic pick
-    // when several workers trip at once).
-    let failure: Mutex<Option<(usize, String)>> = Mutex::new(None);
-
-    let record_failure = |shard: usize, cause: String| {
-        abort.store(true, Ordering::Relaxed);
-        let mut slot = failure.lock().expect("failure slot");
-        if slot.as_ref().is_none_or(|(s, _)| shard < *s) {
-            *slot = Some((shard, cause));
-        }
-    };
-
-    // One worker loop, shared by the spawned threads and the calling
-    // thread: the caller runs a worker itself, so a 1-thread scan spawns
-    // nothing and an N-thread scan spawns N − 1. Block-level panics are
-    // caught inside the loop; the catch around the loop itself (mirrored
-    // by `join` for spawned workers) covers scheduler bookkeeping.
-    let worker_loop = || {
-        let t0 = Instant::now();
-        let mut mine = Vec::new();
-        let mut wm = WorkerMetrics::default();
-        loop {
-            if abort.load(Ordering::Relaxed) {
-                break;
-            }
-            let b = cursor.fetch_add(1, Ordering::Relaxed);
-            let lo = b * block;
-            if lo >= store.len() {
-                break;
-            }
-            let hi = (lo + block).min(store.len());
-            let run = catch_unwind(AssertUnwindSafe(|| scan_block(store, lo..hi, classifier)));
-            match run {
-                Ok((partial, stats)) => {
-                    wm.records += partial.scanned;
-                    wm.invalid += partial.invalid;
-                    wm.blocks += 1;
-                    wm.probes += stats.probes;
-                    wm.deep_probes += stats.deep_probes;
-                    wm.allocations_avoided += stats.allocations_avoided;
-                    mine.push((b, partial));
-                }
-                Err(payload) => {
-                    record_failure(b, panic_message(payload.as_ref()));
-                    break;
-                }
-            }
-        }
-        wm.elapsed = t0.elapsed();
-        (mine, wm)
-    };
-
-    let results: Vec<(Vec<(usize, BlockPartial)>, WorkerMetrics)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (1..workers).map(|_| s.spawn(worker_loop)).collect();
-        let inline = match catch_unwind(AssertUnwindSafe(&worker_loop)) {
-            Ok(r) => r,
-            Err(payload) => {
-                record_failure(usize::MAX, panic_message(payload.as_ref()));
-                (Vec::new(), WorkerMetrics::default())
-            }
-        };
-        let mut results = vec![inline];
-        results.extend(handles.into_iter().map(|h| match h.join() {
-            Ok(r) => r,
-            Err(payload) => {
-                // A panic outside catch_unwind (scheduler bookkeeping
-                // itself) — attribute it to the whole scan.
-                record_failure(usize::MAX, panic_message(payload.as_ref()));
-                (Vec::new(), WorkerMetrics::default())
-            }
-        }));
-        results
-    });
-
-    if let Some((shard, cause)) = failure.into_inner().expect("failure slot") {
-        return Err(ScanError { shard, cause });
-    }
-
     // Merge in block order == store order, so first-record-wins dedupe is
     // deterministic for every thread count.
-    let mut slots: Vec<Option<BlockPartial>> = Vec::with_capacity(blocks);
-    slots.resize_with(blocks, || None);
-    for (mine, wm) in results {
-        for (b, partial) in mine {
-            debug_assert!(slots[b].is_none(), "cursor hands out each block once");
-            slots[b] = Some(partial);
-        }
-        metrics.workers.push(wm);
-    }
     let mut seen = std::collections::HashSet::new();
-    for slot in slots {
-        let p = slot.expect("no failure recorded, so every block completed");
+    for (shard, result) in results.into_iter().enumerate() {
+        let (p, stats) = match result {
+            Some(Ok(block)) => block,
+            Some(Err(cause)) => return Err(ScanError { shard, cause }),
+            None => unreachable!("blocks are skipped only after an earlier failure"),
+        };
         out.scanned += p.scanned;
         out.invalid += p.invalid;
+        metrics.classify.merge(&stats);
         for m in p.matches {
             if seen.insert(m.domain.registrable()) {
                 out.by_type[type_index(m.squat_type)] += 1;
@@ -483,6 +370,8 @@ fn try_scan_impl<C: Classify>(
             }
         }
     }
+    metrics.records = out.scanned;
+    metrics.invalid = out.invalid;
     metrics.wall = start.elapsed();
     Ok((out, metrics))
 }
@@ -536,6 +425,7 @@ fn scan_block<C: Classify>(
 mod tests {
     use super::*;
     use crate::synth::{generate, SnapshotConfig};
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn scan_recovers_planted_squats() {
@@ -580,14 +470,37 @@ mod tests {
         let reg = BrandRegistry::with_size(25);
         let (store, _) = generate(&SnapshotConfig::tiny(), &reg);
         let det = SquatDetector::new(&reg);
-        let base = scan(&store, &reg, &det, 1);
+        let (base, base_metrics) = scan_with_metrics(&store, &reg, &det, 1);
         for threads in [4, 8] {
-            let out = scan(&store, &reg, &det, threads);
+            let (out, metrics) = scan_with_metrics(&store, &reg, &det, threads);
             assert_eq!(base.matches, out.matches, "threads={threads}");
             assert_eq!(base.by_type, out.by_type, "threads={threads}");
             assert_eq!(base.by_brand, out.by_brand, "threads={threads}");
             assert_eq!(base.scanned, out.scanned, "threads={threads}");
             assert_eq!(base.invalid, out.invalid, "threads={threads}");
+            // The counters are sums over blocks, so they do not depend on
+            // which worker ran which block either.
+            assert_eq!(
+                base_metrics.records(),
+                metrics.records(),
+                "threads={threads}"
+            );
+            assert_eq!(
+                base_metrics.invalid(),
+                metrics.invalid(),
+                "threads={threads}"
+            );
+            assert_eq!(base_metrics.probes(), metrics.probes(), "threads={threads}");
+            assert_eq!(
+                base_metrics.deep_probes(),
+                metrics.deep_probes(),
+                "threads={threads}"
+            );
+            assert_eq!(
+                base_metrics.allocations_avoided(),
+                metrics.allocations_avoided(),
+                "threads={threads}"
+            );
         }
     }
 
@@ -628,13 +541,11 @@ mod tests {
         let threads = 4;
         let (out, metrics) = scan_with_metrics(&store, &reg, &det, threads);
         assert_eq!(metrics.requested_workers, threads);
-        assert_eq!(metrics.actual_workers(), threads);
         assert_eq!(metrics.records(), store.len());
         assert_eq!(metrics.records(), out.scanned);
         assert_eq!(metrics.invalid(), out.invalid);
-        // Every block was claimed by exactly one worker.
-        let blocks: usize = metrics.workers.iter().map(|w| w.blocks).sum();
-        assert!(blocks >= threads, "expected ≥1 block per worker slack");
+        // At least four blocks per requested worker, for balance.
+        assert!(metrics.blocks >= 4 * threads, "blocks={}", metrics.blocks);
         // The detector probes at least once per valid record, the filter
         // rejects most probes, and the ASCII fast paths must be reporting
         // avoided allocations.
@@ -645,9 +556,10 @@ mod tests {
     }
 
     #[test]
-    fn small_store_spawns_all_requested_workers() {
-        // The old `div_ceil` chunking spawned only 5 workers for 9 records
-        // × 8 threads; the block scheduler fans out all 8.
+    fn small_store_is_cut_into_one_block_per_record() {
+        // The old `div_ceil` chunking cut 9 records × 8 threads into only
+        // 5 chunks; the block cut gives every record its own block, so the
+        // pool can fan out all 8 workers.
         let reg = BrandRegistry::with_size(5);
         let det = SquatDetector::new(&reg);
         let mut store = RecordStore::new();
@@ -659,18 +571,17 @@ mod tests {
         }
         let (out, metrics) = scan_with_metrics(&store, &reg, &det, 8);
         assert_eq!(metrics.requested_workers, 8);
-        assert_eq!(metrics.actual_workers(), 8);
+        assert_eq!(metrics.blocks, 9);
         assert_eq!(metrics.records(), 9);
         assert_eq!(out.scanned, 9);
 
-        // Fewer records than workers: spawning beyond the block count
-        // would idle threads, so actual < requested — and is reported.
+        // Fewer records than workers: one block each, and no more.
         let mut tiny = RecordStore::new();
         tiny.push("one.example.com", Ipv4Addr::new(1, 1, 1, 1));
         tiny.push("two.example.com", Ipv4Addr::new(1, 1, 1, 2));
         let (_, metrics) = scan_with_metrics(&tiny, &reg, &det, 8);
         assert_eq!(metrics.requested_workers, 8);
-        assert_eq!(metrics.actual_workers(), 2);
+        assert_eq!(metrics.blocks, 2);
     }
 
     #[test]
@@ -682,47 +593,106 @@ mod tests {
         assert_eq!(out.scanned, 0);
         assert_eq!(out.total_matches(), 0);
         assert_eq!(metrics.requested_workers, 4);
-        assert_eq!(metrics.actual_workers(), 0);
+        assert_eq!(metrics.blocks, 0);
+        assert_eq!(metrics.records(), 0);
+    }
+
+    /// A classifier that panics on every domain whose core label starts
+    /// with `poison`.
+    struct Trap;
+
+    impl Classify for Trap {
+        fn classify_record(
+            &self,
+            domain: &DomainName,
+            _stats: &mut ClassifyStats,
+        ) -> Option<SquatMatch> {
+            assert!(
+                !domain.core_label().starts_with("poison"),
+                "injected classifier fault"
+            );
+            None
+        }
+    }
+
+    /// [`try_scan_impl`] over a panicking classifier, with the default
+    /// panic hook's backtrace spam silenced for the intentional panics
+    /// (hooks are global, so it is restored before returning).
+    fn trapped_scan<C: Classify>(store: &RecordStore, classifier: &C, threads: usize) -> ScanError {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let result = try_scan_impl(store, 5, classifier, threads);
+        std::panic::set_hook(prev);
+        result.unwrap_err()
     }
 
     #[test]
     fn worker_panic_is_reported_as_scan_error() {
         // A classifier that panics on one specific domain: the scan must
         // return a structured error naming the failing shard, not abort.
-        struct Trap;
-        impl Classify for Trap {
-            fn classify_record(
-                &self,
-                domain: &DomainName,
-                _stats: &mut ClassifyStats,
-            ) -> Option<SquatMatch> {
-                assert!(
-                    !domain.core_label().starts_with("poison"),
-                    "injected classifier fault"
-                );
-                None
-            }
-        }
         let mut store = RecordStore::new();
         for i in 0..100u8 {
             store.push(&format!("fine-{i}.example.com"), Ipv4Addr::new(10, 0, 0, i));
         }
         store.push("poisoned-record.com", Ipv4Addr::new(9, 9, 9, 9));
-        // Silence the default panic hook's backtrace spam for the
-        // intentional panic (other tests run in other processes only for
-        // integration tests, but hooks are global — restore after).
-        // Silence the default panic hook's backtrace spam for the
-        // intentional worker panic; restore it before asserting.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let result = try_scan_impl(&store, 5, &Trap, 4);
-        std::panic::set_hook(prev);
-        let err = result.unwrap_err();
+        let err = trapped_scan(&store, &Trap, 4);
         assert!(err.cause.contains("injected classifier fault"), "{err}");
         // 101 records × 4 threads → block size 7; the poisoned record is
         // the last one, in the final block.
         assert_eq!(err.shard, 14, "{err}");
         assert!(err.to_string().contains("shard 14"));
+    }
+
+    #[test]
+    fn first_failing_block_is_the_error_at_every_thread_count() {
+        // Two poisoned records in different blocks. With more than one
+        // worker the earlier record waits until the later one has started
+        // to panic, so the later block fails first in time; the error must
+        // still name the earlier block in store order.
+        struct LaterFailsFirst {
+            hold_earlier: bool,
+            later_failed: AtomicBool,
+        }
+        impl Classify for LaterFailsFirst {
+            fn classify_record(
+                &self,
+                domain: &DomainName,
+                _stats: &mut ClassifyStats,
+            ) -> Option<SquatMatch> {
+                match domain.core_label() {
+                    "poison-150" => self.later_failed.store(true, Ordering::SeqCst),
+                    "poison-50" => {
+                        while self.hold_earlier && !self.later_failed.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                    }
+                    _ => return None,
+                }
+                panic!("injected classifier fault");
+            }
+        }
+        let mut store = RecordStore::new();
+        for i in 0..200u8 {
+            let name = match i {
+                50 | 150 => format!("poison-{i}.com"),
+                _ => format!("fine-{i}.example.com"),
+            };
+            store.push(&name, Ipv4Addr::new(10, 0, 0, i));
+        }
+        for threads in [1, 2, 8] {
+            // Block size is 200 / (4 × threads), rounded up.
+            let block = 200usize.div_ceil(4 * threads);
+            assert_ne!(50 / block, 150 / block, "threads={threads}");
+            // One worker runs the blocks in order, so it must not wait.
+            let classifier = LaterFailsFirst {
+                hold_earlier: threads > 1,
+                later_failed: AtomicBool::new(false),
+            };
+            let err = trapped_scan(&store, &classifier, threads);
+            assert!(classifier.later_failed.load(Ordering::SeqCst) == (threads > 1));
+            assert_eq!(err.shard, 50 / block, "threads={threads}: {err}");
+            assert!(err.cause.contains("injected classifier fault"), "{err}");
+        }
     }
 
     #[test]

@@ -23,7 +23,8 @@ fn main() {
         .iter()
         .map(|e| (e.html.as_str(), e.still_phishing))
         .collect();
-    let data = fx.build_dataset(&pages, 8);
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let data = fx.build_dataset(&pages, threads);
     println!(
         "dataset: {} samples, {} positive",
         data.len(),

@@ -215,9 +215,9 @@ fn main() {
     );
     let m = &result.scan_metrics;
     eprintln!(
-        "[repro] scan: {:.0} records/s over {}/{} workers, {} probes ({} past filter), {} allocations avoided, {} dedupe collisions",
+        "[repro] scan: {:.0} records/s over {} blocks on {} workers, {} probes ({} past filter), {} allocations avoided, {} dedupe collisions",
         m.records_per_sec(),
-        m.actual_workers(),
+        m.blocks,
         m.requested_workers,
         m.probes(),
         m.deep_probes(),

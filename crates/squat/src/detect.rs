@@ -71,7 +71,7 @@ pub struct SquatMatch {
 }
 
 /// Per-call instrumentation for the classify hot path, accumulated across
-/// calls by the scan workers (see `squatphi_dnsdb::scan::ScanMetrics`).
+/// the calls of one scan block (see `squatphi_dnsdb::scan::ScanMetrics`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassifyStats {
     /// Logical probes performed (exact, deletion, swap, fold, affix
@@ -92,7 +92,8 @@ pub struct ClassifyStats {
 }
 
 impl ClassifyStats {
-    /// Folds another counter set into this one (worker aggregation).
+    /// Folds another counter set into this one (the scan's merge sums
+    /// its blocks' counters this way).
     pub fn merge(&mut self, other: &ClassifyStats) {
         self.probes += other.probes;
         self.deep_probes += other.deep_probes;
@@ -101,7 +102,8 @@ impl ClassifyStats {
 
     /// Publishes the counters into a telemetry scope. The struct itself
     /// stays a plain stack value — the classify hot path must not touch an
-    /// atomic per probe — so workers accumulate locally and export once.
+    /// atomic per probe — so each block accumulates locally and the sum is
+    /// exported once.
     pub fn export(&self, scope: &squatphi_telemetry::Scope) {
         scope.counter("probes").add(self.probes);
         scope.counter("deep_probes").add(self.deep_probes);

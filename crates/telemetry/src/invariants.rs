@@ -15,8 +15,9 @@ use crate::invariant::{Invariant, InvariantSet};
 /// * every surviving match is counted in exactly one type bucket,
 /// * every surviving match is counted in exactly one brand bucket
 ///   (`scan.by_brand_total` is the pre-summed brand histogram),
-/// * the per-worker ledger accounts for every scanned record,
-/// * matches found by workers equal matches kept plus dedupe drops.
+/// * the block-summed `scan.exec.records` accounts for every scanned
+///   record,
+/// * and `scan.exec.invalid` for every invalid one.
 pub fn scan_invariants() -> InvariantSet {
     InvariantSet::new()
         .with(Invariant::sum_eq(
