@@ -3,7 +3,11 @@
 # unless the two outputs are byte-identical (DESIGN.md §14: every JSON
 # surface strips wall-clock timings, so nothing else may vary).
 #
-#   ci/determinism.sh scan|crawl|watch|repro|conformance
+#   ci/determinism.sh scan|crawl|watch|repro|conformance|page
+#
+# `page` compares the stdout of `squatphi page` on a small login page
+# written to target/determinism/page.html: its report prints counters,
+# never stage times.
 #
 # `scan` reads a generated zone of over 8 MiB, so the two runs also cross
 # the import's chunk cuts. Outputs land in
@@ -27,11 +31,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-surface=${1:?usage: ci/determinism.sh scan|crawl|watch|repro|conformance}
+surface=${1:?usage: ci/determinism.sh scan|crawl|watch|repro|conformance|page}
 out=target/determinism
 mkdir -p "$out"
 zone=$out/zone.txt
 printf 'faceb00k.pw.\t300\tIN\tA\t203.0.113.1\npaypal-cash.com.\t300\tIN\tA\t203.0.113.3\npepper-garden.net.\t300\tIN\tA\t203.0.113.4\n' > "$zone"
+page=$out/page.html
+printf '<html><head><title>PayPal: Log in</title></head><body><h1>PayPal</h1><p>Log in to your account</p><form action="/login"><input type="text" name="email"><input type="password" name="password"><button>Log In</button></form></body></html>\n' > "$page"
 
 # `scan` reads a ~12 MiB zone so its import crosses the 1 MiB chunk cuts
 # of RecordStore::from_zone: A, CNAME, comment and blank lines, with five
@@ -57,7 +63,7 @@ squatphi() { cargo run --release -q -p squatphi-cli --bin squatphi -- "$@"; }
 # Where one side's output lands: JSON surfaces, or a report's stdout.
 out_file() {
     case $1 in
-        repro-all) echo "$out/$1-$2.txt" ;;
+        repro-all | page) echo "$out/$1-$2.txt" ;;
         *) echo "$out/$1-$2.json" ;;
     esac
 }
@@ -78,6 +84,7 @@ run() {
                 --threads "${threads[$side]}" --json > "$json"
             ;;
         conformance) squatphi conformance --seed 1 --budget ci --json > "$json" ;;
+        page) squatphi page "$page" > "$json" ;;
         repro)
             cargo run --release -q -p squatphi-experiments --bin repro -- \
                 --scale 2000 --threads "${threads[$side]}" --json "$json" table7

@@ -534,10 +534,11 @@ fn page(path: &str, brand_label: Option<&str>) -> Result<String, String> {
             "not flagged"
         }
     );
+    // Counters only: stage times would make two runs' stdout differ.
     let _ = writeln!(
         out,
         "analysis: {}",
-        extractor.analyzer().metrics().report_line()
+        extractor.analyzer().metrics().counters_line()
     );
     Ok(out)
 }

@@ -15,11 +15,11 @@
 
 use crate::justify::{justified, type_index};
 use crate::report::Violation;
-use crate::shrink::minimize_str;
 use crate::Params;
 use rand::prelude::*;
 use squatphi_domain::confusables::ConfusableTable;
 use squatphi_domain::DomainName;
+use squatphi_prop::shrink::minimize_str;
 use squatphi_squat::gen::generate_all;
 use squatphi_squat::pregen::PregeneratedDetector;
 use squatphi_squat::{BrandRegistry, SquatDetector};

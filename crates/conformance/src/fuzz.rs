@@ -6,9 +6,9 @@
 //! must return, not panic or hang.
 
 use crate::report::Violation;
-use crate::shrink::minimize_str;
 use crate::Params;
 use rand::prelude::*;
+use squatphi_prop::shrink::minimize_str;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The HTML corpus, replayed verbatim and used as mutation seeds.

@@ -5,9 +5,9 @@
 //! borrows) a string and looks it up in a `HashMap<String, _>` — ~39
 //! SipHash string hashes per record, the cost the fingerprint index was
 //! built to remove. No production code uses it; it exists so the
-//! `scan-diff` oracle and the matcher proptests can pin the new matcher's
-//! answers (and its `probes` / `allocations_avoided` accounting)
-//! byte-identical to the old ones.
+//! `scan-diff` oracle and the matcher property tests can pin the new
+//! matcher's answers (and its `probes` / `allocations_avoided`
+//! accounting) byte-identical to the old ones.
 //!
 //! Behavioral contract: for every parseable domain,
 //! `LegacyDetector::classify == SquatDetector::classify`, including the

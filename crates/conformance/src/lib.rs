@@ -37,8 +37,9 @@
 //!   probe ledger.
 //!
 //! Violating inputs are minimized by a greedy delta-debugging loop
-//! ([`shrink`]) before they are reported, so a red run hands you the
-//! smallest reproducing input, not a 300-byte blob.
+//! ([`squatphi_prop::shrink`], the workspace's one shrinker) before they
+//! are reported, so a red run hands you the smallest reproducing input,
+//! not a 300-byte blob.
 //!
 //! The harness runs three ways: `squatphi conformance` (CLI, `--json`
 //! summary in the `ScanMetrics` style), `cargo test -p
@@ -61,7 +62,6 @@ mod phash_index;
 mod report;
 mod roundtrip;
 mod scan_diff;
-pub mod shrink;
 mod supervision;
 
 pub use report::{ConformanceReport, OracleOutcome, Violation};

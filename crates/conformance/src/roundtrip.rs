@@ -1,10 +1,10 @@
 //! Round-trip oracles: punycode and IDNA.
 
 use crate::report::Violation;
-use crate::shrink::minimize_str;
 use crate::Params;
 use rand::prelude::*;
 use squatphi_domain::{idna, punycode};
+use squatphi_prop::shrink::minimize_str;
 
 /// The RFC 3492 §7.1 sample strings, `(description, unicode, punycode)`.
 ///

@@ -25,11 +25,11 @@
 
 use crate::legacy::LegacyDetector;
 use crate::report::Violation;
-use crate::shrink::minimize_str;
 use crate::Params;
 use rand::prelude::*;
 use squatphi_dnsdb::{scan, synth, SnapshotConfig};
 use squatphi_domain::DomainName;
+use squatphi_prop::shrink::minimize_str;
 use squatphi_squat::gen::generate_all;
 use squatphi_squat::{BrandRegistry, ClassifyStats, SquatDetector};
 

@@ -4,7 +4,8 @@
 //!
 //! * exhaustively on every `generate_all` candidate (with the answer also
 //!   checked against the independent [`justify`] ground-truth predicates),
-//! * on proptest-generated random labels, including brand-mutation
+//! * on random labels drawn by the workspace harness `squatphi_prop`,
+//!   including brand-mutation
 //!   properties that concentrate on the deletion/confusable neighborhoods
 //!   where the fingerprint index actually does its work,
 //! * on the `probes` / `allocations_avoided` counters, which both
@@ -13,11 +14,11 @@
 //! [`SquatDetector`]: squatphi_squat::SquatDetector
 //! [`LegacyDetector`]: squatphi_conformance::legacy::LegacyDetector
 
-use proptest::prelude::*;
 use squatphi_conformance::justify::justified;
 use squatphi_conformance::legacy::LegacyDetector;
 use squatphi_domain::confusables::ConfusableTable;
 use squatphi_domain::DomainName;
+use squatphi_prop::{check, prop_assert, prop_assert_eq, Gen};
 use squatphi_squat::gen::{generate_all, GenBudget};
 use squatphi_squat::{BrandRegistry, ClassifyStats, SquatDetector};
 use std::sync::OnceLock;
@@ -37,11 +38,7 @@ fn detectors() -> &'static (BrandRegistry, SquatDetector, LegacyDetector) {
 }
 
 /// Full agreement (answer + counters) on one domain, as a property result.
-fn agreement(
-    new: &SquatDetector,
-    old: &LegacyDetector,
-    domain: &DomainName,
-) -> Result<(), TestCaseError> {
+fn agreement(new: &SquatDetector, old: &LegacyDetector, domain: &DomainName) -> Result<(), String> {
     let mut sn = ClassifyStats::default();
     let mut so = ClassifyStats::default();
     let a = new.classify_with_stats(domain, &mut sn);
@@ -129,66 +126,83 @@ fn agrees_with_legacy_on_mixed_corpus() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    #[test]
-    fn random_labels_agree(label in "[a-z0-9][a-z0-9-]{0,20}[a-z0-9]", tld_i in 0..6usize) {
-        let (_reg, new, old) = detectors();
+#[test]
+fn random_labels_agree() {
+    let (_reg, new, old) = detectors();
+    let gen = |g: &mut Gen| {
+        let label = format!(
+            "{}{}{}",
+            g.char("a-z0-9"),
+            g.string("a-z0-9-", 0..=20),
+            g.char("a-z0-9")
+        );
+        (label, g.below(6) as usize)
+    };
+    check("random_labels_agree", 512, gen, |(label, tld_i)| {
         if let Ok(domain) = DomainName::from_parts(&label, TLDS[tld_i]) {
             agreement(new, old, &domain)?;
         }
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn hyphenated_combos_agree(
-        a in "[a-z0-9][a-z0-9]{0,11}",
-        b in "[a-z0-9][a-z0-9]{0,11}",
-        tld_i in 0..6usize,
-    ) {
-        let (_reg, new, old) = detectors();
+#[test]
+fn hyphenated_combos_agree() {
+    let (_reg, new, old) = detectors();
+    let word =
+        |g: &mut squatphi_prop::Gen| format!("{}{}", g.char("a-z0-9"), g.string("a-z0-9", 0..=11));
+    let gen = |g: &mut Gen| (word(g), word(g), g.below(6) as usize);
+    check("hyphenated_combos_agree", 512, gen, |(a, b, tld_i)| {
         if let Ok(domain) = DomainName::from_parts(&format!("{a}-{b}"), TLDS[tld_i]) {
             agreement(new, old, &domain)?;
         }
-    }
+        Ok(())
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(768))]
-
-    #[test]
-    fn mutated_brand_labels_agree(
-        brand_i in 0..40usize,
-        edits in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..4),
-        tld_i in 0..6usize,
-    ) {
-        let (reg, new, old) = detectors();
-        // Mutate 1–3 positions of a brand label toward confusables, random
-        // letters, deletions, insertions or adjacent swaps — the edit
-        // neighborhoods the fingerprint index probes.
-        let mut chars: Vec<char> = reg.brands()[brand_i % reg.len()].label.chars().collect();
-        for (pos, kind) in edits {
-            if chars.len() < 2 {
-                break;
-            }
-            let i = pos as usize % chars.len();
-            match kind % 5 {
-                0 => chars[i] = ['0', '1', '5', 'q', 'v', 'w'][kind as usize % 6],
-                1 => chars[i] = (b'a' + kind % 26) as char,
-                2 => {
-                    chars.remove(i);
+#[test]
+fn mutated_brand_labels_agree() {
+    let (reg, new, old) = detectors();
+    let gen = |g: &mut Gen| {
+        (
+            g.below(40) as usize,
+            g.vec(1..4, |g| (g.below(1 << 16) as u16, g.u8())),
+            g.below(6) as usize,
+        )
+    };
+    check(
+        "mutated_brand_labels_agree",
+        768,
+        gen,
+        |(brand_i, edits, tld_i)| {
+            // Mutate 1–3 positions of a brand label toward confusables,
+            // random letters, deletions, insertions or adjacent swaps — the
+            // edit neighborhoods the fingerprint index probes.
+            let mut chars: Vec<char> = reg.brands()[brand_i % reg.len()].label.chars().collect();
+            for (pos, kind) in edits {
+                if chars.len() < 2 {
+                    break;
                 }
-                3 => chars.insert(i, (b'a' + kind % 26) as char),
-                _ => {
-                    if i + 1 < chars.len() {
-                        chars.swap(i, i + 1);
+                let i = pos as usize % chars.len();
+                match kind % 5 {
+                    0 => chars[i] = ['0', '1', '5', 'q', 'v', 'w'][kind as usize % 6],
+                    1 => chars[i] = (b'a' + kind % 26) as char,
+                    2 => {
+                        chars.remove(i);
+                    }
+                    3 => chars.insert(i, (b'a' + kind % 26) as char),
+                    _ => {
+                        if i + 1 < chars.len() {
+                            chars.swap(i, i + 1);
+                        }
                     }
                 }
             }
-        }
-        let label: String = chars.into_iter().collect();
-        if let Ok(domain) = DomainName::from_parts(&label, TLDS[tld_i]) {
-            agreement(new, old, &domain)?;
-        }
-    }
+            let label: String = chars.into_iter().collect();
+            if let Ok(domain) = DomainName::from_parts(&label, TLDS[tld_i]) {
+                agreement(new, old, &domain)?;
+            }
+            Ok(())
+        },
+    );
 }

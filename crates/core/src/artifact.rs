@@ -309,17 +309,25 @@ impl AnalysisSnapshot {
             + self.embed_nanos
     }
 
-    /// One-line human report, for CLI/stderr surfaces.
-    pub fn report_line(&self) -> String {
-        let ms = |n: u64| n as f64 / 1e6;
+    /// The counters half of [`report_line`](Self::report_line): no
+    /// wall-clock value, so a surface that prints it stays byte-stable.
+    pub fn counters_line(&self) -> String {
         format!(
-            "{} pages ({} cache hits, {} misses, {:.1}% hit rate, {} collisions); \
-             parse {:.1}ms, extract {:.1}ms, render {:.1}ms, hash {:.1}ms, ocr {:.1}ms, embed {:.1}ms",
+            "{} pages ({} cache hits, {} misses, {:.1}% hit rate, {} collisions)",
             self.pages,
             self.cache_hits,
             self.cache_misses,
             self.hit_rate() * 100.0,
             self.key_collisions,
+        )
+    }
+
+    /// One-line human report with the stage times, for stderr surfaces.
+    pub fn report_line(&self) -> String {
+        let ms = |n: u64| n as f64 / 1e6;
+        format!(
+            "{}; parse {:.1}ms, extract {:.1}ms, render {:.1}ms, hash {:.1}ms, ocr {:.1}ms, embed {:.1}ms",
+            self.counters_line(),
             ms(self.parse_nanos),
             ms(self.extract_nanos),
             ms(self.render_nanos),

@@ -134,9 +134,10 @@ impl std::error::Error for ScanError {}
 /// wall clock.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScanMetrics {
-    /// Records classified (valid or not).
+    /// Records in the cut's blocks (valid or not): the summed block
+    /// lengths, counted apart from the blocks' own `scanned`.
     pub records: usize,
-    /// Records that failed domain validation.
+    /// Records that failed domain validation (the outcome's `invalid`).
     pub invalid: usize,
     /// Scheduler blocks the store was cut into.
     pub blocks: usize,
@@ -193,8 +194,8 @@ impl ScanMetrics {
     /// the block-summed counters and the run's shape (requested workers,
     /// block count) go under `exec.` so invariance tests can drop them,
     /// and wall-clock values use timing-rule names so default output
-    /// strips them. `exec.records` and `exec.invalid` must reconcile with
-    /// the outcome.
+    /// strips them. `exec.records` must reconcile with the outcome's
+    /// `scanned`.
     pub fn export(&self, scope: &squatphi_telemetry::Scope) {
         scope.set_u64("dedupe_collisions", self.dedupe_collisions as u64);
         scope.set_u64(
@@ -359,6 +360,9 @@ fn try_scan_impl<C: Classify>(
         };
         out.scanned += p.scanned;
         out.invalid += p.invalid;
+        // The cut's own length for this block, not the block's count, so
+        // `scan.records_accounted` compares two independent sums.
+        metrics.records += (store.len() - shard * block).min(block);
         metrics.classify.merge(&stats);
         for m in p.matches {
             if seen.insert(m.domain.registrable()) {
@@ -370,7 +374,6 @@ fn try_scan_impl<C: Classify>(
             }
         }
     }
-    metrics.records = out.scanned;
     metrics.invalid = out.invalid;
     metrics.wall = start.elapsed();
     Ok((out, metrics))
@@ -741,6 +744,26 @@ mod tests {
         }
         assert_eq!(renders[0], renders[1]);
         assert_eq!(renders[0], renders[2]);
+    }
+
+    #[test]
+    fn records_accounted_catches_a_count_lost_in_the_merge() {
+        // `exec.records` is the cut's length and `scanned` the blocks'
+        // own counts, so a block missing from the merge breaks the sum.
+        let reg = BrandRegistry::with_size(20);
+        let (store, _) = generate(&SnapshotConfig::tiny(), &reg);
+        let det = SquatDetector::new(&reg);
+        for threads in [1, 4] {
+            let (mut out, metrics) = scan_with_metrics(&store, &reg, &det, threads);
+            assert!(metrics.blocks > 1, "threads={threads}");
+            assert_eq!(metrics.records(), store.len(), "threads={threads}");
+            assert!(ScanMetrics::reconciles(&out, &metrics), "threads={threads}");
+            out.scanned -= 1;
+            assert!(
+                !ScanMetrics::reconciles(&out, &metrics),
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]

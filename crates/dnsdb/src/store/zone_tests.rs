@@ -3,13 +3,14 @@
 //! per A record. The chunked, parallel, columnar import must build the
 //! same store and report the same `ZoneError` for every input, at every
 //! grain and worker count. The one intended difference — a `;` inside a
-//! quoted TXT string is no longer a comment — is asserted explicitly.
+//! quoted TXT string is no longer a comment — is asserted explicitly. The
+//! properties run on the workspace harness `squatphi_prop`.
 
 use super::{line_cuts, RecordStore, ZONE_GRAIN};
 use crate::synth::{generate, SnapshotConfig};
-use proptest::prelude::*;
 use squatphi_dnswire::zone::{parse_zone, ZoneError};
 use squatphi_dnswire::{RData, ResourceRecord};
+use squatphi_prop::{check, prop_assert_eq, Gen};
 use squatphi_squat::BrandRegistry;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -382,77 +383,103 @@ fn mixed_line(kind: u8, r: u32) -> (String, bool) {
     (line, false)
 }
 
-proptest! {
-    #[test]
-    fn zone_import_matches_the_oracle_on_random_line_mixes(
-        kinds in proptest::collection::vec((0u8..24, any::<u32>()), 0..60),
-        grain in 1usize..300,
-        workers in 1usize..9,
-        crlf in 0u8..2,
-        trailing_newline in 0u8..2,
-    ) {
-        // The oracle reads the same text with each quoted `;` of a kind-5
-        // line replaced by `,`: line for line the same input, minus the
-        // one case the fix changes.
-        let (mut text, mut fixed) = (String::new(), String::new());
-        let mut first_quoted_semicolon = None;
-        for (i, &(kind, r)) in kinds.iter().enumerate() {
-            let (line, quoted_semicolon) = mixed_line(kind, r);
-            if i > 0 {
-                let end = if crlf == 1 { "\r\n" } else { "\n" };
-                text.push_str(end);
-                fixed.push_str(end);
+#[test]
+fn zone_import_matches_the_oracle_on_random_line_mixes() {
+    let gen = |g: &mut Gen| {
+        (
+            g.vec(0..60, |g| (g.below(24) as u8, g.u32())),
+            g.range(1..300) as usize,
+            g.range(1..9) as usize,
+            g.below(2) as u8,
+            g.below(2) as u8,
+        )
+    };
+    check(
+        "zone_import_matches_the_oracle_on_random_line_mixes",
+        256,
+        gen,
+        |(kinds, grain, workers, crlf, trailing_newline)| {
+            // The oracle reads the same text with each quoted `;` of a kind-5
+            // line replaced by `,`: line for line the same input, minus the
+            // one case the fix changes.
+            let (mut text, mut fixed) = (String::new(), String::new());
+            let mut first_quoted_semicolon = None;
+            for (i, &(kind, r)) in kinds.iter().enumerate() {
+                let (line, quoted_semicolon) = mixed_line(kind, r);
+                if i > 0 {
+                    let end = if crlf == 1 { "\r\n" } else { "\n" };
+                    text.push_str(end);
+                    fixed.push_str(end);
+                }
+                if quoted_semicolon {
+                    first_quoted_semicolon.get_or_insert(i + 1);
+                    fixed.push_str(&line.replace(';', ","));
+                } else {
+                    fixed.push_str(&line);
+                }
+                text.push_str(&line);
             }
-            if quoted_semicolon {
-                first_quoted_semicolon.get_or_insert(i + 1);
-                fixed.push_str(&line.replace(';', ","));
-            } else {
-                fixed.push_str(&line);
+            if trailing_newline == 1 {
+                text.push('\n');
+                fixed.push('\n');
             }
-            text.push_str(&line);
-        }
-        if trailing_newline == 1 {
-            text.push('\n');
-            fixed.push('\n');
-        }
 
-        prop_assert_eq!(RecordStore::import(&text, grain, workers), oracle_from_zone(&fixed));
-        let unfix = |rrs: Vec<ResourceRecord>| -> Vec<ResourceRecord> {
-            rrs.into_iter()
-                .map(|mut rr| {
-                    if let RData::Txt(body) = &mut rr.rdata {
-                        *body = body.replace(';', ",");
-                    }
-                    rr
-                })
-                .collect()
-        };
-        prop_assert_eq!(parse_zone(&text).map(unfix), oracle_parse_zone(&fixed));
+            prop_assert_eq!(
+                RecordStore::import(&text, grain, workers),
+                oracle_from_zone(&fixed)
+            );
+            let unfix = |rrs: Vec<ResourceRecord>| -> Vec<ResourceRecord> {
+                rrs.into_iter()
+                    .map(|mut rr| {
+                        if let RData::Txt(body) = &mut rr.rdata {
+                            *body = body.replace(';', ",");
+                        }
+                        rr
+                    })
+                    .collect()
+            };
+            prop_assert_eq!(parse_zone(&text).map(unfix), oracle_parse_zone(&fixed));
 
-        // The difference, explicitly: the oracle fails the unfixed text at
-        // its first quoted `;` unless an earlier line already failed.
-        let want = match (oracle_parse_zone(&fixed), first_quoted_semicolon) {
-            (Err(ZoneError::BadLine { line, reason }), Some(q)) if line < q => {
-                Err(ZoneError::BadLine { line, reason })
+            // The difference, explicitly: the oracle fails the unfixed text at
+            // its first quoted `;` unless an earlier line already failed.
+            let want = match (oracle_parse_zone(&fixed), first_quoted_semicolon) {
+                (Err(ZoneError::BadLine { line, reason }), Some(q)) if line < q => {
+                    Err(ZoneError::BadLine { line, reason })
+                }
+                (_, Some(q)) => Err(ZoneError::BadLine {
+                    line: q,
+                    reason: "TXT needs quotes",
+                }),
+                (fixed, None) => fixed,
+            };
+            prop_assert_eq!(oracle_parse_zone(&text), want);
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn zone_import_never_panics() {
+    let gen = |g: &mut Gen| {
+        (
+            g.vec(0..12, |g| (g.text(0..=40), g.below(5) as u8)),
+            g.range(1..64) as usize,
+            g.range(1..5) as usize,
+        )
+    };
+    check(
+        "zone_import_never_panics",
+        256,
+        gen,
+        |(pieces, grain, workers)| {
+            let mut text = String::new();
+            for (piece, sep) in &pieces {
+                text.push_str(piece);
+                text.push_str(["\n", "\r\n", ";", "\"", "\t"][*sep as usize]);
             }
-            (_, Some(q)) => Err(ZoneError::BadLine { line: q, reason: "TXT needs quotes" }),
-            (fixed, None) => fixed,
-        };
-        prop_assert_eq!(oracle_parse_zone(&text), want);
-    }
-
-    #[test]
-    fn zone_import_never_panics(
-        pieces in proptest::collection::vec(("\\PC{0,40}", 0u8..5), 0..12),
-        grain in 1usize..64,
-        workers in 1usize..5,
-    ) {
-        let mut text = String::new();
-        for (piece, sep) in &pieces {
-            text.push_str(piece);
-            text.push_str(["\n", "\r\n", ";", "\"", "\t"][*sep as usize]);
-        }
-        let _ = RecordStore::import(&text, grain, workers);
-        let _ = RecordStore::from_zone(&text);
-    }
+            let _ = RecordStore::import(&text, grain, workers);
+            let _ = RecordStore::from_zone(&text);
+            Ok(())
+        },
+    );
 }

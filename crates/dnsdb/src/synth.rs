@@ -11,7 +11,6 @@
 use crate::store::RecordStore;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use squatphi_domain::idna;
 use squatphi_squat::gen::{self, GenBudget};
 use squatphi_squat::words::BENIGN_WORDS;
 use squatphi_squat::{BrandRegistry, SquatType};
@@ -300,12 +299,6 @@ fn plant_benign(config: &SnapshotConfig, rng: &mut StdRng, store: &mut RecordSto
         let tld = tlds[rng.gen_range(0..tlds.len())];
         push_record(&format!("{label}.{tld}"), config, rng, store);
     }
-}
-
-/// Returns the Unicode display form of a snapshot domain (IDN-aware);
-/// convenience for reports.
-pub fn display_domain(domain: &str) -> String {
-    idna::to_unicode(domain)
 }
 
 #[cfg(test)]

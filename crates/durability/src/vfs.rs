@@ -169,11 +169,6 @@ impl FaultVfs {
         }
     }
 
-    /// Durable writes and appends issued so far through this instance.
-    pub fn write_count(&self) -> u64 {
-        self.writes.load(Ordering::SeqCst)
-    }
-
     fn file_name(path: &Path) -> String {
         path.file_name()
             .and_then(|n| n.to_str())

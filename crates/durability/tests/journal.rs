@@ -1,6 +1,7 @@
-//! The delta journal: frame codec properties, exhaustive damage over a
-//! base + journal generation, the [`Journal`] compaction policy, and
-//! appends under the seeded fault plan.
+//! The delta journal: frame codec properties (on the workspace harness
+//! `squatphi_prop`), exhaustive damage over a base + journal generation,
+//! the [`Journal`] compaction policy, and appends under the seeded fault
+//! plan.
 //!
 //! The recovery contract under test: a load replays *exactly* the frames
 //! before the first damaged one — never a later frame, never an altered
@@ -8,37 +9,18 @@
 //! recovery with the frame named, and damage inside the base falls back
 //! a generation (that generation's base and its whole journal).
 
+mod common;
+use common::TempDir;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use proptest::prelude::*;
 use squatphi_durability::{
     encode_frame, install_crash_hook, read_frames, CrashPoint, DiskFaultPlan, DurableStore,
     FaultVfs, Journal, JournalEnd, LoadOutcome, RealVfs, FRAME_HEADER_BYTES,
 };
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        static INVOCATION: AtomicU64 = AtomicU64::new(0);
-        let n = INVOCATION.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "squatphi-durability-journal-{tag}-{}-{n}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use squatphi_prop::{check, prop_assert, prop_assert_eq, Gen};
 
 const CONFIG: u64 = 0x5eed_c0de;
 
@@ -490,14 +472,16 @@ fn a_full_device_fails_the_append_and_keeps_what_fit() {
 
 // ---- frame codec properties ------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// Payloads of 1 to `max - 1` bytes, as many as a draw from `frames`.
+fn payloads(g: &mut Gen, max: usize, frames: std::ops::Range<usize>) -> Vec<Vec<u8>> {
+    g.vec(frames, |g| g.vec(1..max, |g| g.u8()))
+}
 
-    /// Any sequence of non-empty payloads round-trips, in order, cleanly.
-    #[test]
-    fn frames_round_trip(
-        payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..200), 0..8),
-    ) {
+/// Any sequence of non-empty payloads round-trips, in order, cleanly.
+#[test]
+fn frames_round_trip() {
+    let gen = |g: &mut Gen| payloads(g, 200, 0..8);
+    check("frames_round_trip", 128, gen, |payloads| {
         let bytes: Vec<u8> = payloads.iter().flat_map(|p| encode_frame(p)).collect();
         let (read, end) = read_frames(&bytes);
         prop_assert_eq!(end, JournalEnd::Clean);
@@ -505,39 +489,48 @@ proptest! {
         for (got, want) in read.iter().zip(&payloads) {
             prop_assert_eq!(*got, want.as_slice());
         }
-    }
+        Ok(())
+    });
+}
 
-    /// Any cut and any flipped bit leave a verified *prefix* of the frames
-    /// written: never a frame that was not written, never one out of order.
-    #[test]
-    fn damage_leaves_a_prefix(
-        payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..60), 1..6),
-        cut in any::<u32>(),
-        pos in any::<u32>(),
-        bit in 0u8..8,
-    ) {
-        let pristine: Vec<u8> = payloads.iter().flat_map(|p| encode_frame(p)).collect();
-        let mut damaged = pristine.clone();
-        let pos = pos as usize % damaged.len();
-        damaged[pos] ^= 1 << bit;
-        damaged.truncate(cut as usize % (pristine.len() + 1));
-        let (read, end) = read_frames(&damaged);
-        prop_assert!(read.len() <= payloads.len());
-        for (got, want) in read.iter().zip(&payloads) {
-            prop_assert_eq!(*got, want.as_slice());
-        }
-        // The frame holding the flipped bit never verifies.
-        let mut frame_end = 0;
-        let hit = payloads
-            .iter()
-            .position(|p| {
-                frame_end += FRAME_HEADER_BYTES + p.len();
-                pos < frame_end
-            })
-            .expect("pos is inside the journal");
-        if damaged.len() > pos {
-            prop_assert!(read.len() <= hit, "frame {} verified with a flipped bit", hit + 1);
-            prop_assert!(end != JournalEnd::Clean);
-        }
-    }
+/// Any cut and any flipped bit leave a verified *prefix* of the frames
+/// written: never a frame that was not written, never one out of order.
+#[test]
+fn damage_leaves_a_prefix() {
+    let gen = |g: &mut Gen| (payloads(g, 60, 1..6), g.u32(), g.u32(), g.below(8) as u8);
+    check(
+        "damage_leaves_a_prefix",
+        128,
+        gen,
+        |(payloads, cut, pos, bit)| {
+            let pristine: Vec<u8> = payloads.iter().flat_map(|p| encode_frame(p)).collect();
+            let mut damaged = pristine.clone();
+            let pos = pos as usize % damaged.len();
+            damaged[pos] ^= 1 << bit;
+            damaged.truncate(cut as usize % (pristine.len() + 1));
+            let (read, end) = read_frames(&damaged);
+            prop_assert!(read.len() <= payloads.len());
+            for (got, want) in read.iter().zip(&payloads) {
+                prop_assert_eq!(*got, want.as_slice());
+            }
+            // The frame holding the flipped bit never verifies.
+            let mut frame_end = 0;
+            let hit = payloads
+                .iter()
+                .position(|p| {
+                    frame_end += FRAME_HEADER_BYTES + p.len();
+                    pos < frame_end
+                })
+                .expect("pos is inside the journal");
+            if damaged.len() > pos {
+                prop_assert!(
+                    read.len() <= hit,
+                    "frame {} verified with a flipped bit",
+                    hit + 1
+                );
+                prop_assert!(end != JournalEnd::Clean);
+            }
+            Ok(())
+        },
+    );
 }

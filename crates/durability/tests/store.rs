@@ -4,36 +4,17 @@
 //! the crash hook panics instead of exiting so every crash point can be
 //! driven and recovered inside one test binary).
 
+mod common;
+use common::TempDir;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::sync::Arc;
 
 use squatphi_durability::{
     install_crash_hook, CrashPoint, DiskFaultPlan, DurableStore, FaultVfs, LoadOutcome, ReadClass,
     RealVfs, StoreError,
 };
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        static INVOCATION: AtomicU64 = AtomicU64::new(0);
-        let n = INVOCATION.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "squatphi-durability-it-{tag}-{}-{n}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// Payload marker the in-process crash hook panics with.
 const CRASH_MARKER: &str = "simulated-disk-crash";

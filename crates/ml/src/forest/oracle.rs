@@ -3,14 +3,15 @@
 //! `SparseVec::get` (binary search) for every (sample, threshold) pair.
 //! The feature-major fit must grow the same trees bit for bit, so
 //! `encode()` — the train checkpoint's payload — is compared byte for
-//! byte on random sparse datasets.
+//! byte on random sparse datasets (drawn by the workspace harness
+//! `squatphi_prop`).
 
 use super::{RandomForest, RandomForestConfig, Tree, TreeNode};
 use crate::{Classifier, Dataset};
-use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use squatphi_nlp::SparseVec;
+use squatphi_prop::{check, prop_assert_eq, Gen};
 
 /// The pre-columnar `Dataset::bootstrap`, verbatim but for field access.
 fn bootstrap(data: &Dataset, rng: &mut StdRng) -> Dataset {
@@ -177,33 +178,42 @@ fn dataset(rows: &[Vec<(usize, u8)>], label_bits: u64, dim: usize) -> Dataset {
     data
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(400))]
-
-    #[test]
-    fn fit_encodes_like_the_oracle_on_random_sparse_data(
-        rows in proptest::collection::vec(
-            proptest::collection::vec((0usize..14, 0u8..8), 0..8),
-            0..48,
-        ),
-        label_bits in any::<u64>(),
-        dim in 1usize..12,
-        shape in (1usize..6, 1usize..8, 0usize..7, 0usize..5),
-        seed in any::<u64>(),
-    ) {
-        let (trees, max_depth, min_split, features_per_split) = shape;
-        let cfg = RandomForestConfig {
-            trees,
-            max_depth,
-            min_split,
-            features_per_split,
-            seed,
-        };
-        let data = dataset(&rows, label_bits, dim);
-        let mut fitted = RandomForest::new(cfg.clone());
-        fitted.fit(&data);
-        prop_assert_eq!(fitted.encode(), oracle_fit(&cfg, &data).encode());
-    }
+#[test]
+fn fit_encodes_like_the_oracle_on_random_sparse_data() {
+    let gen = |g: &mut Gen| {
+        let rows = g.vec(0..48, |g| {
+            g.vec(0..8, |g| (g.below(14) as usize, g.below(8) as u8))
+        });
+        let label_bits = g.u64();
+        let dim = g.range(1..12) as usize;
+        let shape = (
+            g.range(1..6) as usize,
+            g.range(1..8) as usize,
+            g.below(7) as usize,
+            g.below(5) as usize,
+        );
+        (rows, label_bits, dim, shape, g.u64())
+    };
+    check(
+        "fit_encodes_like_the_oracle_on_random_sparse_data",
+        400,
+        gen,
+        |(rows, label_bits, dim, shape, seed)| {
+            let (trees, max_depth, min_split, features_per_split) = shape;
+            let cfg = RandomForestConfig {
+                trees,
+                max_depth,
+                min_split,
+                features_per_split,
+                seed,
+            };
+            let data = dataset(&rows, label_bits, dim);
+            let mut fitted = RandomForest::new(cfg.clone());
+            fitted.fit(&data);
+            prop_assert_eq!(fitted.encode(), oracle_fit(&cfg, &data).encode());
+            Ok(())
+        },
+    );
 }
 
 #[test]

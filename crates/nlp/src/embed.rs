@@ -152,11 +152,6 @@ impl FeatureSpace {
         self.keyword_index.len() + self.numeric_names.len()
     }
 
-    /// Number of keyword dimensions.
-    pub fn keyword_dim(&self) -> usize {
-        self.keyword_index.len()
-    }
-
     /// Dimension of a keyword, if mapped.
     pub fn keyword(&self, word: &str) -> Option<usize> {
         self.keyword_index.get(word).copied()

@@ -234,7 +234,7 @@ fn bounded_levenshtein(a: &str, b: &str, budget: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use squatphi_prop::{check, prop_assert_eq, Gen};
 
     fn checker() -> SpellChecker {
         SpellChecker::new(["paypal", "facebook", "google"])
@@ -320,19 +320,29 @@ mod tests {
         String::from_utf8(bytes).expect("ASCII edits of an ASCII word")
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(20_000))]
-
-        #[test]
-        fn index_lookup_equals_the_linear_scan(
-            pick in any::<usize>(),
-            edits in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<u8>()), 0..4),
-        ) {
-            static CHECKER: std::sync::OnceLock<SpellChecker> = std::sync::OnceLock::new();
-            let c = CHECKER.get_or_init(|| SpellChecker::new(LABELS));
-            let token = edit(&c.words[pick % c.words.len()], &edits);
-            prop_assert_eq!(c.correct(&token), c.correct_linear(&token), "token {:?}", token);
-        }
+    #[test]
+    fn index_lookup_equals_the_linear_scan() {
+        let c = SpellChecker::new(LABELS);
+        let gen = |g: &mut Gen| {
+            let pick = g.u64() as usize;
+            let edits = g.vec(0..4, |g| (g.u8(), g.u64() as usize, g.u8()));
+            (pick, edits)
+        };
+        check(
+            "index_lookup_equals_the_linear_scan",
+            20_000,
+            gen,
+            |(pick, edits)| {
+                let token = edit(&c.words[pick % c.words.len()], &edits);
+                prop_assert_eq!(
+                    c.correct(&token),
+                    c.correct_linear(&token),
+                    "token {:?}",
+                    token
+                );
+                Ok(())
+            },
+        );
     }
 
     #[test]

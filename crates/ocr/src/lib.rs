@@ -570,13 +570,13 @@ mod tests {
 
     #[test]
     fn regression_short_words_round_trip() {
-        // Pinned from tests/properties.proptest-regressions, which shrank
-        // a failure of `ocr_reads_back_rendered_words` down to
-        // `words = ["ia"]`: narrow glyphs like `i` have blank leading
-        // columns, so the first ink pixel of a band does not sit on the
-        // glyph-grid boundary and the phase search in `read_band` must
-        // recover the true alignment. Keep the shrunken case plus a
-        // covering sweep of the shortest words the property generates.
+        // Pinned from a recorded failure of the workspace property
+        // `ocr_reads_back_rendered_words`, shrunk to `words = ["ia"]`:
+        // narrow glyphs like `i` have blank leading columns, so the first
+        // ink pixel of a band does not sit on the glyph-grid boundary and
+        // the phase search in `read_band` must recover the true alignment.
+        // Keep the shrunken case plus a covering sweep of the shortest
+        // words the property generates.
         let cfg = noiseless();
         let mut cases = vec!["ia".to_string(), "ia qt".to_string()];
         for a in b'a'..=b'z' {

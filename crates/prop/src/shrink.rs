@@ -14,19 +14,16 @@ const CALL_BUDGET: usize = 4000;
 /// if no smaller failing input is found.
 pub fn minimize_str(input: &str, mut still_fails: impl FnMut(&str) -> bool) -> String {
     let chars: Vec<char> = input.chars().collect();
-    let out = minimize(&chars, &mut |cand| {
+    let out = minimize(&chars, |cand| {
         let s: String = cand.iter().collect();
         still_fails(&s)
     });
     out.into_iter().collect()
 }
 
-/// Minimizes a byte string under `still_fails`.
-pub fn minimize_bytes(input: &[u8], mut still_fails: impl FnMut(&[u8]) -> bool) -> Vec<u8> {
-    minimize(input, &mut |cand| still_fails(cand))
-}
-
-fn minimize<T: Clone>(input: &[T], still_fails: &mut dyn FnMut(&[T]) -> bool) -> Vec<T> {
+/// Minimizes a sequence (bytes, chars, a generator's draws) under
+/// `still_fails`, with the same contract as [`minimize_str`].
+pub fn minimize<T: Clone>(input: &[T], mut still_fails: impl FnMut(&[T]) -> bool) -> Vec<T> {
     let mut cur: Vec<T> = input.to_vec();
     let mut calls = 0usize;
     let mut chunk = (cur.len() / 2).max(1);
@@ -85,7 +82,7 @@ mod tests {
     fn never_proposes_empty() {
         // Predicate that "fails" on everything: the minimizer must still
         // return a non-empty input.
-        let out = minimize_bytes(&[1, 2, 3, 4], |_| true);
+        let out = minimize(&[1, 2, 3, 4], |_| true);
         assert_eq!(out.len(), 1);
     }
 
@@ -93,7 +90,7 @@ mod tests {
     fn bytes_shrink_like_strings() {
         let mut input = vec![0u8; 64];
         input[40] = 0xC0;
-        let out = minimize_bytes(&input, |b| b.contains(&0xC0));
+        let out = minimize(&input, |b| b.contains(&0xC0));
         assert_eq!(out, vec![0xC0]);
     }
 
@@ -101,7 +98,7 @@ mod tests {
     fn terminates_under_the_call_budget() {
         let input = vec![7u8; 10_000];
         let mut calls = 0usize;
-        let _ = minimize_bytes(&input, |_| {
+        let _ = minimize(&input, |_| {
             calls += 1;
             true
         });

@@ -1,6 +1,6 @@
 //! Grayscale bitmap canvas.
 
-use crate::font::{glyph_for, ADVANCE, GLYPH_H, GLYPH_W};
+use crate::font::{glyph_for, ADVANCE, GLYPH_W};
 
 /// Ink level used for body text.
 pub const INK_TEXT: u8 = 255;
@@ -108,11 +108,6 @@ impl Bitmap {
     /// Width in pixels a string occupies at `scale`.
     pub fn text_width(text: &str, scale: usize) -> usize {
         text.chars().count() * ADVANCE * scale.max(1)
-    }
-
-    /// Height in pixels of one text line at `scale`.
-    pub fn text_height(scale: usize) -> usize {
-        GLYPH_H * scale.max(1)
     }
 
     /// Mean intensity over the whole bitmap.

@@ -109,11 +109,6 @@ pub fn glyph_for(c: char) -> &'static Glyph {
     }
 }
 
-/// Index of `c` inside [`CHARSET`], if covered.
-pub fn charset_index(c: char) -> Option<usize> {
-    CHARSET.find(c.to_ascii_lowercase())
-}
-
 /// Character at a charset index.
 pub fn charset_char(i: usize) -> char {
     CHARSET.as_bytes()[i] as char

@@ -35,7 +35,7 @@
 //! load. Fingerprint hits are verified against the stored key bytes, so
 //! hash collisions cost a comparison but can never change an answer: the
 //! output is byte-identical to the legacy detector's, pinned by the
-//! `scan-diff` conformance oracle and the matcher proptests.
+//! `scan-diff` conformance oracle and the matcher property tests.
 //!
 //! # Allocation discipline
 //!

@@ -140,7 +140,7 @@ pub fn candidates(brand: &Brand, squat_type: SquatType, limit: usize) -> Candida
 mod tests {
     use super::*;
     use crate::{Brand, BrandRegistry};
-    use proptest::prelude::*;
+    use squatphi_prop::{check, prop_assert, prop_assert_eq, Gen};
 
     #[test]
     fn generates_all_five_types_for_facebook() {
@@ -233,31 +233,48 @@ mod tests {
         list
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Each per-type sequence is the eager oracle's list of that type at
-        /// the same limit, and a prefix of it at any larger limit — which is
-        /// what the snapshot planter relies on when it stops pulling early.
-        /// Long labels make the filter drop candidates after their TLD slot.
-        #[test]
-        fn per_type_sequences_are_prefixes_of_the_eager_lists(
-            label in "([a-z0-9]{1,8}|[a-z][a-z0-9-]{0,57}[a-z0-9])",
-            tld in 0usize..4,
-            limit in 0usize..60,
-            extra in 0usize..200,
-        ) {
-            let brand = brand(&label, ["com", "tk", "net", "io"][tld]);
-            for ty in SquatType::ALL {
-                let got: Vec<Candidate> = candidates(&brand, ty, limit).collect();
-                prop_assert_eq!(&got, &only(uniform(limit), ty, &brand));
-                let wide = only(uniform(limit + extra), ty, &brand);
-                prop_assert!(wide.starts_with(&got), "{ty} at {limit} is not a prefix");
-                let pulled: Vec<Candidate> =
-                    candidates(&brand, ty, limit + extra).take(got.len()).collect();
-                prop_assert_eq!(&pulled, &got);
-            }
-        }
+    /// Each per-type sequence is the eager oracle's list of that type at
+    /// the same limit, and a prefix of it at any larger limit — which is
+    /// what the snapshot planter relies on when it stops pulling early.
+    /// Long labels make the filter drop candidates after their TLD slot.
+    #[test]
+    fn per_type_sequences_are_prefixes_of_the_eager_lists() {
+        let gen = |g: &mut Gen| {
+            let label = match g.below(2) {
+                0 => g.string("a-z0-9", 1..=8),
+                _ => format!(
+                    "{}{}{}",
+                    g.char("a-z"),
+                    g.string("a-z0-9-", 0..=57),
+                    g.char("a-z0-9")
+                ),
+            };
+            (
+                label,
+                g.below(4) as usize,
+                g.below(60) as usize,
+                g.below(200) as usize,
+            )
+        };
+        check(
+            "per_type_sequences_are_prefixes_of_the_eager_lists",
+            48,
+            gen,
+            |(label, tld, limit, extra)| {
+                let brand = brand(&label, ["com", "tk", "net", "io"][tld]);
+                for ty in SquatType::ALL {
+                    let got: Vec<Candidate> = candidates(&brand, ty, limit).collect();
+                    prop_assert_eq!(&got, &only(uniform(limit), ty, &brand));
+                    let wide = only(uniform(limit + extra), ty, &brand);
+                    prop_assert!(wide.starts_with(&got), "{ty} at {limit} is not a prefix");
+                    let pulled: Vec<Candidate> = candidates(&brand, ty, limit + extra)
+                        .take(got.len())
+                        .collect();
+                    prop_assert_eq!(&pulled, &got);
+                }
+                Ok(())
+            },
+        );
     }
 
     /// Pins `generate_all` (every domain and type, in order) over all 702

@@ -9,16 +9,10 @@ use std::time::Instant;
 
 use crate::snapshot::{Snapshot, Value};
 
-/// Log2 bucket upper bounds (nanoseconds) for duration histograms: 1us, 16us,
-/// 256us, 4ms, 65ms, 1s, and overflow. Coarse on purpose — buckets exist to
-/// spot order-of-magnitude shifts, not to replace a profiler.
-const BUCKET_BOUNDS_NANOS: [u64; 6] = [1 << 10, 1 << 14, 1 << 18, 1 << 22, 1 << 26, 1 << 30];
-
 #[derive(Default)]
 struct State {
     counters: BTreeMap<String, Arc<AtomicU64>>,
     gauges: BTreeMap<String, Value>,
-    histograms: BTreeMap<String, Arc<HistogramCells>>,
 }
 
 /// Shared metric registry. Cheap to clone; clones observe the same metrics.
@@ -41,25 +35,6 @@ impl Registry {
             .or_insert_with(|| Arc::new(AtomicU64::new(0)))
             .clone();
         Counter { cell }
-    }
-
-    /// Get or create a duration histogram with this dotted name. By the
-    /// workspace timing rule the name's last segment must end in
-    /// `_durations` so `--timings` stripping covers its buckets.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        debug_assert!(
-            name.rsplit('.')
-                .next()
-                .is_some_and(|leaf| leaf.ends_with("_durations")),
-            "histogram names must end in _durations: {name}"
-        );
-        let mut state = self.state.lock().expect("telemetry registry poisoned");
-        let cells = state
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(HistogramCells::default()))
-            .clone();
-        Histogram { cells }
     }
 
     /// Set a gauge. Last write wins; snapshots read the current value.
@@ -120,31 +95,7 @@ impl Registry {
         for (name, cell) in &state.counters {
             snap.insert(name.clone(), Value::U64(cell.load(Ordering::SeqCst)));
         }
-        for (name, cells) in &state.histograms {
-            snap.insert(
-                format!("{name}.count"),
-                Value::U64(cells.count.load(Ordering::SeqCst)),
-            );
-            snap.insert(
-                format!("{name}.sum_nanos"),
-                Value::U64(cells.sum_nanos.load(Ordering::SeqCst)),
-            );
-            for (i, bucket) in cells.buckets.iter().enumerate() {
-                let label = bucket_label(i);
-                snap.insert(
-                    format!("{name}.{label}"),
-                    Value::U64(bucket.load(Ordering::SeqCst)),
-                );
-            }
-        }
         snap
-    }
-}
-
-fn bucket_label(index: usize) -> String {
-    match BUCKET_BOUNDS_NANOS.get(index) {
-        Some(bound) => format!("le_{bound}"),
-        None => "le_inf".to_string(),
     }
 }
 
@@ -154,7 +105,6 @@ impl std::fmt::Debug for Registry {
         f.debug_struct("Registry")
             .field("counters", &state.counters.len())
             .field("gauges", &state.gauges.len())
-            .field("histograms", &state.histograms.len())
             .finish()
     }
 }
@@ -185,39 +135,6 @@ impl Counter {
     }
 }
 
-#[derive(Default)]
-struct HistogramCells {
-    count: AtomicU64,
-    sum_nanos: AtomicU64,
-    buckets: [AtomicU64; BUCKET_BOUNDS_NANOS.len() + 1],
-}
-
-/// Handle to a duration histogram.
-#[derive(Clone)]
-pub struct Histogram {
-    cells: Arc<HistogramCells>,
-}
-
-impl Histogram {
-    pub fn record_nanos(&self, nanos: u64) {
-        self.cells.count.fetch_add(1, Ordering::Relaxed);
-        self.cells.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
-        let idx = BUCKET_BOUNDS_NANOS
-            .iter()
-            .position(|bound| nanos <= *bound)
-            .unwrap_or(BUCKET_BOUNDS_NANOS.len());
-        self.cells.buckets[idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record(&self, elapsed: std::time::Duration) {
-        self.record_nanos(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    pub fn count(&self) -> u64 {
-        self.cells.count.load(Ordering::SeqCst)
-    }
-}
-
 /// Name-prefixing view of a registry; see [`Registry::scope`].
 #[derive(Clone)]
 pub struct Scope {
@@ -232,10 +149,6 @@ impl Scope {
 
     pub fn counter(&self, name: &str) -> Counter {
         self.registry.counter(&self.full(name))
-    }
-
-    pub fn histogram(&self, name: &str) -> Histogram {
-        self.registry.histogram(&self.full(name))
     }
 
     pub fn set_u64(&self, name: &str, value: u64) {
@@ -348,29 +261,6 @@ mod tests {
         let mut stripped = snap.clone();
         stripped.strip_timings();
         assert_eq!(stripped.get_u64("stage.scan_nanos"), Some(0));
-    }
-
-    #[test]
-    fn histogram_buckets_are_cumulative_free_and_stripped() {
-        let reg = Registry::new();
-        let hist = reg.histogram("scan.exec.worker_durations");
-        hist.record_nanos(500); // le_1024
-        hist.record_nanos(2_000_000); // le_4194304
-        hist.record_nanos(u64::MAX); // le_inf
-        let snap = reg.snapshot();
-        assert_eq!(snap.get_u64("scan.exec.worker_durations.count"), Some(3));
-        assert_eq!(snap.get_u64("scan.exec.worker_durations.le_1024"), Some(1));
-        assert_eq!(
-            snap.get_u64("scan.exec.worker_durations.le_4194304"),
-            Some(1)
-        );
-        assert_eq!(snap.get_u64("scan.exec.worker_durations.le_inf"), Some(1));
-        let mut stripped = snap;
-        stripped.strip_timings();
-        assert_eq!(
-            stripped.get_u64("scan.exec.worker_durations.count"),
-            Some(0)
-        );
     }
 
     #[test]

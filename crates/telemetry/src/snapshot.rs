@@ -6,8 +6,7 @@ use std::collections::BTreeMap;
 
 use crate::json::Json;
 
-/// A metric value. Counters and histogram buckets are `U64`; gauges may carry
-/// any variant.
+/// A metric value. Counters are `U64`; gauges may carry any variant.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     U64(u64),
@@ -43,7 +42,7 @@ impl Value {
 /// The one `--timings` rule, applied by every CLI surface.
 ///
 /// A metric name is timing data when any dot-separated segment ends with
-/// `_nanos`, `_durations`, or `_per_sec`, or equals `wall` or `elapsed`.
+/// `_nanos` or `_per_sec`, or equals `wall` or `elapsed`.
 /// Timing values are measured from the host's monotonic clock, so they vary
 /// run to run; stripping them (zeroing, not removing, so the schema is
 /// stable) is what makes default `--json` output two-run byte-identical.
@@ -57,7 +56,6 @@ pub fn is_timing_name(name: &str) -> bool {
         segment == "wall"
             || segment == "elapsed"
             || segment.ends_with("_nanos")
-            || segment.ends_with("_durations")
             || segment.ends_with("_per_sec")
     })
 }
@@ -206,7 +204,6 @@ mod tests {
     fn timing_rule_matches_by_segment() {
         assert!(is_timing_name("scan.wall"));
         assert!(is_timing_name("analysis.parse_nanos"));
-        assert!(is_timing_name("scan.exec.worker_durations.le_1024"));
         assert!(is_timing_name("scan.records_per_sec"));
         assert!(!is_timing_name("scan.records"));
         assert!(!is_timing_name("watch.counters.injected"));

@@ -2,9 +2,10 @@
 //! exactly-once, no thread for a batch that cannot fill a second worker's
 //! run, and panics that reach the caller intact; and of
 //! [`squatphi_telemetry::lock_unpoisoned`]: a worker's panic does not
-//! lock later callers out.
+//! lock later callers out. The agreement property runs on the workspace
+//! harness `squatphi_prop`.
 
-use proptest::prelude::*;
+use squatphi_prop::{check, prop_assert_eq, Gen};
 use squatphi_telemetry::{lock_unpoisoned, par_map};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -90,18 +91,25 @@ fn a_lock_held_through_a_worker_panic_still_locks() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(200))]
-
-    #[test]
-    fn agrees_with_the_sequential_map(
-        len in 0usize..300,
-        threads in 1usize..9,
-        grain in 1usize..40,
-        salt in any::<u64>(),
-    ) {
-        let f = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt;
-        let expected: Vec<u64> = (0..len).map(f).collect();
-        prop_assert_eq!(par_map(len, threads, grain, f), expected);
-    }
+#[test]
+fn agrees_with_the_sequential_map() {
+    let gen = |g: &mut Gen| {
+        (
+            g.below(300) as usize,
+            g.range(1..9) as usize,
+            g.range(1..40) as usize,
+            g.u64(),
+        )
+    };
+    check(
+        "agrees_with_the_sequential_map",
+        200,
+        gen,
+        |(len, threads, grain, salt)| {
+            let f = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt;
+            let expected: Vec<u64> = (0..len).map(f).collect();
+            prop_assert_eq!(par_map(len, threads, grain, f), expected);
+            Ok(())
+        },
+    );
 }

@@ -343,18 +343,6 @@ pub fn parked_page(host: &str) -> String {
     )
 }
 
-/// Domain-marketplace landing page ("this domain is for sale").
-pub fn marketplace_page(host: &str, market: &str) -> String {
-    format!(
-        "<html><head><title>{host} is for sale</title></head><body>\
-         <h2>{host} is for sale</h2>\
-         <p>buy now on {market} or make an offer</p>\
-         <p>premium domain pricing from $2500</p>\
-         <a href=\"http://{market}/listing\">view listing</a>\
-         </body></html>"
-    )
-}
-
 /// An unrelated benign page (no forms, neutral text).
 pub fn benign_page(host: &str, seed: u64) -> String {
     let topics = [

@@ -239,11 +239,6 @@ impl WebWorld {
         }
     }
 
-    /// Adds an explicit site (used by the ground-truth feed and tests).
-    pub fn insert_site(&mut self, site: Site) {
-        self.sites.insert(site.domain.clone(), site);
-    }
-
     /// All sites.
     pub fn sites(&self) -> impl Iterator<Item = &Site> {
         self.sites.values()
