@@ -19,6 +19,15 @@
 //! flat bucket table filled by a counting sort, so a probe reads one
 //! contiguous run of hashes (see `BucketTable`).
 //!
+//! The query body is compiled twice from one source: as it is, and, on
+//! x86-64, inside a `#[target_feature(enable = "popcnt")]` function, where
+//! every `count_ones` (the substring skips and [`crate::hamming64`]) is one
+//! instruction instead of baseline x86-64's bit-twiddling sequence.
+//! [`HashIndex::within`] picks the copy on each call through
+//! `is_x86_feature_detected!`, whose answer std caches; that call is the
+//! crate's one `unsafe` block. Both copies give the same answers and bump
+//! the same counters; the [`linear`] oracle keeps the plain popcount.
+//!
 //! Adversarial corpora (e.g. every hash identical) collapse the bucket
 //! tables; when the probed buckets' combined size would rival a linear scan,
 //! queries fall back to a **BK-tree** that stores one node per *distinct*
@@ -45,6 +54,8 @@ pub const CHUNKS: usize = 4;
 pub const CHUNK_BITS: u32 = 64 / CHUNKS as u32;
 const BUCKETS_PER_TABLE: usize = 1 << CHUNK_BITS;
 const BUCKETS: usize = CHUNKS * BUCKETS_PER_TABLE;
+/// How many plan slots ahead `mih_within` loads a bucket's first entry.
+const LOOK_AHEAD: usize = 8;
 
 /// A lookup result: the stored hash, its insertion id and its distance to
 /// the query. Insertion ids are the corpus positions given to
@@ -149,6 +160,7 @@ impl BkTree {
     /// All `(id, distance)` pairs within `radius` of `query`, in tree order.
     /// `visit` is called once per node with that node's entry count, so the
     /// caller can account every stored hash as probed exactly once.
+    #[inline(always)]
     fn within(&self, query: u64, radius: u32, mut visit: impl FnMut(u64, bool)) -> Vec<(u32, u32)> {
         let mut out = Vec::new();
         if self.nodes.is_empty() {
@@ -360,7 +372,34 @@ impl HashIndex {
 
     /// All stored hashes within Hamming `radius` of `query`, sorted by
     /// ascending insertion id (the documented tie-break for equal hashes).
+    ///
+    /// Runs the one query body compiled with the `popcnt` instruction when
+    /// the CPU has it, and as it is otherwise; both copies give the same
+    /// answers and bump the same counters.
     pub fn within(&self, query: &ImageHash, radius: u32) -> Vec<Neighbor> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("popcnt") {
+            // SAFETY: `within_popcnt` enables no target feature but
+            // `popcnt`, which the check above has just found on this CPU.
+            #[allow(unsafe_code)]
+            return unsafe { self.within_popcnt(query, radius) };
+        }
+        self.within_plain(query, radius)
+    }
+
+    /// [`Self::within_plain`] with every `count_ones` in it, inlined
+    /// through `mih_within`, `bk_within` and [`crate::hamming64`], compiled
+    /// to one `popcnt` instruction instead of baseline x86-64's
+    /// bit-twiddling sequence.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "popcnt")]
+    fn within_popcnt(&self, query: &ImageHash, radius: u32) -> Vec<Neighbor> {
+        self.within_plain(query, radius)
+    }
+
+    /// The body of [`Self::within`], for the target the crate is built for.
+    #[inline(always)]
+    fn within_plain(&self, query: &ImageHash, radius: u32) -> Vec<Neighbor> {
         self.counters.queries.inc();
         if self.hashes.is_empty() {
             return Vec::new();
@@ -388,6 +427,7 @@ impl HashIndex {
         self.mih_within(query.0, radius, &allow, &plan)
     }
 
+    #[inline(always)]
     fn mih_within(
         &self,
         query: u64,
@@ -404,7 +444,14 @@ impl HashIndex {
         let mut bucket_hits = 0u64;
         let mut probes = 0u64;
         let mut verified = 0u64;
-        for &bucket in plan {
+        for (i, &bucket) in plan.iter().enumerate() {
+            // Load the first entry of the bucket `LOOK_AHEAD` slots on, so
+            // its cache miss overlaps this bucket's verify work; `black_box`
+            // keeps the unused load from being optimised away.
+            if let Some(&ahead) = plan.get(i + LOOK_AHEAD) {
+                let start = self.table.starts[ahead as usize] as usize;
+                std::hint::black_box(self.table.entry_hash.get(start).copied());
+            }
             let table = bucket as usize / BUCKETS_PER_TABLE;
             let run = self.table.run(bucket as usize);
             if !run.is_empty() {
@@ -438,6 +485,7 @@ impl HashIndex {
         out
     }
 
+    #[inline(always)]
     fn bk_within(&self, query: u64, radius: u32) -> Vec<Neighbor> {
         let bk = self.bk.get_or_init(|| BkTree::build(&self.hashes));
         let (mut probes, mut verified) = (0u64, 0u64);
@@ -465,14 +513,27 @@ impl HashIndex {
     /// equal-distance ties always resolve to the earlier insert. Exact: built
     /// on expanding-radius [`Self::within`] calls, never approximate.
     pub fn nearest(&self, query: &ImageHash, k: usize) -> Vec<Neighbor> {
+        self.nearest_by(query, k, HashIndex::within)
+    }
+
+    /// [`Self::nearest`] on the `within` copy given, so the tests can run
+    /// it on the plain copy too.
+    fn nearest_by(
+        &self,
+        query: &ImageHash,
+        k: usize,
+        within: fn(&HashIndex, &ImageHash, u32) -> Vec<Neighbor>,
+    ) -> Vec<Neighbor> {
         if k == 0 || self.hashes.is_empty() {
             return Vec::new();
         }
-        // Radii land just under each chunk-radius step-up (3, 7, 11, ...),
-        // so each expansion buys a strictly larger probe set.
+        // Radii step 0, 4, 8, ... up to 64 (`+ CHUNKS`). Each step adds
+        // `CHUNKS` to the allowance sum `radius + 1 - CHUNKS`: 0 -> 4 gives
+        // table 0 its first flip, and every later step one more flip to
+        // every table, so each expansion probes a strictly larger plan.
         let mut radius = 0u32;
         loop {
-            let mut found = self.within(query, radius);
+            let mut found = within(self, query, radius);
             if found.len() >= k || radius >= 64 {
                 found.sort_unstable_by_key(|n| (n.distance, n.id));
                 found.truncate(k);
@@ -697,6 +758,62 @@ mod tests {
         assert_eq!(index.within(&q, 40), linear::within(&corpus, &q, 40));
         assert_eq!(bk_nodes(&index), Some(5));
         assert!(format!("{index:?}").contains("bk_nodes: 5"));
+    }
+
+    /// splitmix64, for seeded corpora with no dependency.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn dispatched_within_equals_the_plain_copy() {
+        let mut state = 47u64;
+        let queries: Vec<u64> = (0..6).map(|_| next(&mut state)).collect();
+        let uniform: Vec<u64> = (0..3_000).map(|_| next(&mut state)).collect();
+        // 20 % within 0-8 flips of a query, as `visual_lookup` builds it.
+        let clustered: Vec<u64> = (0..3_000)
+            .map(|i| {
+                if i % 5 != 0 {
+                    return next(&mut state);
+                }
+                let mut h = queries[next(&mut state) as usize % queries.len()];
+                for _ in 0..next(&mut state) % 9 {
+                    h ^= 1 << (next(&mut state) % 64);
+                }
+                h
+            })
+            .collect();
+        let duplicates: Vec<u64> = (0..1_000)
+            .map(|i| queries[i % 2] ^ (i as u64 % 3))
+            .collect();
+        for corpus in [uniform, clustered, duplicates, vec![queries[0]]] {
+            let corpus = hashes(&corpus);
+            let plain = HashIndex::from_hashes_in(&Registry::new(), corpus.iter().copied());
+            let dispatched = HashIndex::from_hashes_in(&Registry::new(), corpus.iter().copied());
+            for query in hashes(&queries).iter().chain(&corpus[..1]) {
+                for radius in 0..=33 {
+                    assert_eq!(
+                        plain.within_plain(query, radius),
+                        dispatched.within(query, radius),
+                        "query {query} radius {radius}"
+                    );
+                }
+                for k in [1, 5, 17] {
+                    assert_eq!(
+                        plain.nearest_by(query, k, HashIndex::within_plain),
+                        dispatched.nearest(query, k),
+                        "query {query} k {k}"
+                    );
+                }
+            }
+            let render = |index: &HashIndex| index.telemetry().snapshot().render();
+            assert_eq!(render(&plain), render(&dispatched));
+            assert!(render(&plain).contains("\"probes\""));
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * [`perceptual_hash`] — 32×32 2-D DCT, top-left 8×8 low-frequency
 //!   block thresholded at its median (64-bit).
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod index;
@@ -30,6 +30,7 @@ pub struct ImageHash(pub u64);
 /// The one shared distance path: [`ImageHash::distance`], [`phash_distance`],
 /// the [`index::HashIndex`] verifier and the [`index::linear`] oracle all
 /// delegate here, so production and oracle cannot diverge.
+#[inline]
 pub fn hamming64(a: u64, b: u64) -> u32 {
     (a ^ b).count_ones()
 }
